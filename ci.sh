@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + ctest), an ASan/UBSan build of
 # the concurrency-sensitive test suites (obs tracer, async spill I/O, IRS
-# core/runtime), a ThreadSanitizer pass over the same suites, a chaos-smoke
+# core/runtime), a ThreadSanitizer pass over the same suites plus the recovery
+# ledger and the shuffle fabric, a chaos-smoke
 # sweep of the schedule fuzzer (tools/chaos_run) including a skewed-heap
 # migration slice, a multi-process telemetry smoke (merged cross-process
 # trace must pair ctrl/shuffle/migration flows), a multi-tenant job-service
@@ -29,17 +30,23 @@ for t in obs_test io_test itask_core_test irs_runtime_test irs_policy_test net_t
   "./build-asan/tests/${t}"
 done
 
-echo "=== tier 3: TSan on itask core / runtime / partition / io suites ==="
+echo "=== tier 3: TSan on itask core / runtime / partition / io / ledger / fabric suites ==="
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
-cmake --build build-tsan -j --target itask_core_test irs_runtime_test partition_test io_test
-for t in itask_core_test irs_runtime_test partition_test io_test; do
+cmake --build build-tsan -j --target itask_core_test irs_runtime_test partition_test io_test \
+  recovery_test net_test
+for t in itask_core_test irs_runtime_test partition_test io_test recovery_test; do
   echo "--- ${t} (tsan) ---"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"
 done
+# The pipelined shuffle commit runs the ledger on worker, coordinator and
+# transport threads at once (DESIGN.md §11, §13).
+echo "--- net_test ShuffleFabric + TransportParityTest (tsan) ---"
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_test \
+  --gtest_filter='ShuffleFabric.*:TransportParityTest.*'
 
 echo "=== tier 4: chaos smoke (schedule-fuzzed WordCount sweep) ==="
 cmake --build build -j --target chaos_run

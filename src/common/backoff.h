@@ -29,7 +29,7 @@ namespace itask::common {
 // registry's counters attribute retries/giveups to a concrete wait.
 enum class BackoffUse : std::uint8_t {
   kShuffleAck = 0,  // Fabric-level shuffle ack wait (deadline budget).
-  kLedgerDeliver,   // Recovery ledger delivery/re-execution retry sleeps.
+  kLedgerDeliver,   // Recovery ledger delivery/re-execution/migration retries.
   kSendRetry,       // Transport sender reconnect after a failed batch.
   kLoadRetry,       // EnsureResident spill reload retries.
   kCtrlConnect,     // Initial ctrl-plane join connect.

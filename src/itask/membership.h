@@ -91,11 +91,13 @@ class Membership {
   }
 
   // Resets every beat stamp to "now" (job start: a cold cluster must not be
-  // instantly suspected).
+  // instantly suspected). The disconnect marks move along, so a node cut off
+  // before the reset still needs a real beat to count as healed.
   void ResetBeats() {
     const std::uint64_t now = NowNs();
     for (auto& s : slots_) {
       s->last_beat_ns.store(now, std::memory_order_relaxed);
+      s->disconnect_mark_ns.store(now, std::memory_order_relaxed);
     }
   }
 

@@ -26,6 +26,14 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+std::uint64_t NowNs() {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                        std::chrono::steady_clock::now().time_since_epoch())
+                                        .count());
+}
+
+std::uint64_t MsToNs(double ms) { return static_cast<std::uint64_t>(ms * 1e6); }
+
 }  // namespace
 
 RecoveryConfig RecoveryConfig::FromEnv() {
@@ -44,7 +52,8 @@ RecoveryContext::RecoveryContext(RecoveryConfig config, int num_nodes)
     : config_(config),
       membership_(num_nodes),
       broker_(num_nodes, MigrationConfig::FromEnv()),
-      hooks_(static_cast<std::size_t>(num_nodes)) {
+      hooks_(static_cast<std::size_t>(num_nodes)),
+      delivered_at_(static_cast<std::size_t>(num_nodes)) {
   memsim::HeapConfig sink_heap_config;
   sink_heap_config.capacity_bytes = 1ULL << 40;  // Effectively unbounded.
   sink_heap_config.gc_base_ns = 0;
@@ -68,9 +77,15 @@ void RecoveryContext::SetNodeSink(int node, std::function<void(PartitionPtr)> si
   hooks_[static_cast<std::size_t>(node)].sink = std::move(sink);
 }
 
-void RecoveryContext::SetDeliveryChannel(DeliveryChannel channel) {
+void RecoveryContext::SetDeliveryChannel(DeliveryChannel channel, double ack_timeout_ms) {
   std::lock_guard lock(mu_);
   delivery_channel_ = std::move(channel);
+  ack_timeout_ns_ = MsToNs(std::max(0.0, ack_timeout_ms));
+}
+
+void RecoveryContext::SetMigrationChannel(MigrationChannel channel) {
+  std::lock_guard lock(mu_);
+  migration_channel_ = std::move(channel);
 }
 
 void RecoveryContext::SetBeatSink(std::function<void(int, std::uint64_t, std::uint64_t)> sink) {
@@ -116,8 +131,8 @@ void RecoveryContext::NoteLinkDown(int node) {
 
 DeliveryStatus RecoveryContext::RemotePush(int node, const ShuffleWireId& id,
                                            common::ByteBuffer& bytes) {
-  // Lock-free on purpose: a DeliverLocked holding mu_ is blocked waiting for
-  // the ack this call produces. Factories and hooks are frozen pre-run.
+  // Lock-free on purpose: factories and hooks are frozen pre-run, and the
+  // receive path must not queue behind commits for the ledger lock.
   if (!membership_.Serving(node)) {
     return DeliveryStatus::kPeerGone;
   }
@@ -159,9 +174,16 @@ std::int64_t RecoveryContext::RegisterSplit(DataPartition& split, int assigned_n
 }
 
 bool RecoveryContext::StageShuffle(int producer, int home, PartitionPtr out) {
-  std::lock_guard lock(mu_);
   const std::int64_t split = out->origin_split();
   const std::uint32_t epoch = out->origin_epoch();
+  // Serialize before taking the lock: the producer owns |out|, and a fenced
+  // stage only wastes the encoding.
+  auto bytes = std::make_shared<common::ByteBuffer>();
+  serde::Writer writer(bytes.get());
+  out->SerializeTo(writer);
+  out->DropPayload();
+
+  std::lock_guard lock(mu_);
   const bool known =
       split >= 0 && split < static_cast<std::int64_t>(splits_.size());
   if (!membership_.Serving(producer) || !known ||
@@ -171,60 +193,59 @@ bool RecoveryContext::StageShuffle(int producer, int home, PartitionPtr out) {
     // by a re-execution (or the producer was declared dead). Fencing here is
     // what makes re-execution exactly-once instead of at-least-once.
     fenced_rejects_.fetch_add(1, std::memory_order_relaxed);
-    out->DropPayload();
     return false;
   }
+  const EntryKey key{split, epoch, splits_[static_cast<std::size_t>(split)].next_seq++};
   Entry e;
-  e.split = split;
-  e.epoch = epoch;
-  e.seq = next_seq_[{split, epoch}]++;
   e.type = out->type();
   e.tag = out->tag();
   e.home = home;
-  serde::Writer writer(&e.bytes);
-  out->SerializeTo(writer);
-  out->DropPayload();
-  entries_.push_back(std::move(e));
+  e.bytes = std::move(bytes);
+  tag_entries_[e.tag].insert(key);
+  entries_.emplace(key, std::move(e));
   entries_staged_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void RecoveryContext::CommitEpoch(int producer, std::int64_t split, std::uint32_t epoch) {
-  std::lock_guard lock(mu_);
-  if (split < 0 || split >= static_cast<std::int64_t>(splits_.size())) {
-    return;
-  }
-  Split& s = splits_[static_cast<std::size_t>(split)];
-  if (!membership_.Serving(producer) || s.epoch != epoch ||
-      s.state == Split::State::kCommitted) {
-    // The detector declared the producer dead (or bumped the epoch) before
-    // this commit raced in: the split will re-execute, so its staged entries
-    // were already discarded and this completion must not count.
-    stale_commits_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  s.state = Split::State::kCommitted;
-  s.bytes.Clear();  // Input bytes are no longer needed once outputs committed.
-  uncommitted_splits_.fetch_sub(1, std::memory_order_release);
-  for (Entry& e : entries_) {
-    if (e.split != split || e.epoch != epoch || e.committed) {
-      continue;
+  Window window;
+  {
+    std::lock_guard lock(mu_);
+    if (split < 0 || split >= static_cast<std::int64_t>(splits_.size())) {
+      return;
     }
-    e.committed = true;
-    undelivered_committed_.fetch_add(1, std::memory_order_release);
-    if (!DeliverLocked(e)) {
-      sweep_needed_.store(true, std::memory_order_release);
+    Split& s = splits_[static_cast<std::size_t>(split)];
+    if (!membership_.Serving(producer) || s.epoch != epoch ||
+        s.state == Split::State::kCommitted) {
+      // The detector declared the producer dead (or bumped the epoch) before
+      // this commit raced in: the split will re-execute, so its staged
+      // entries were already discarded and this completion must not count.
+      stale_commits_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
+    s.state = Split::State::kCommitted;
+    s.bytes.Clear();  // Input bytes are no longer needed once outputs committed.
+    const std::uint64_t now = NowNs();
+    for (auto it = entries_.lower_bound(EntryKey{split, epoch, 0});
+         it != entries_.end() && std::get<0>(it->first) == split &&
+         std::get<1>(it->first) == epoch;
+         ++it) {
+      Entry& e = it->second;
+      if (e.committed) {
+        continue;
+      }
+      e.committed = true;
+      undelivered_committed_.fetch_add(1, std::memory_order_release);
+      DispatchLocked(it->first, e, now, &window);
+    }
+    // Released only after the entries count as undelivered, so a lock-free
+    // MergeSafe() never sees this split's data as neither pending nor landed.
+    uncommitted_splits_.fetch_sub(1, std::memory_order_release);
   }
+  ShipWindow(window);
 }
 
 bool RecoveryContext::StageSinkChunk(int node, PartitionPtr chunk) {
-  std::lock_guard lock(mu_);
-  if (!membership_.Serving(node) || sunk_tags_.count(chunk->tag()) != 0) {
-    fenced_rejects_.fetch_add(1, std::memory_order_relaxed);
-    chunk->DropPayload();
-    return false;
-  }
   SinkChunk c;
   c.type = chunk->type();
   c.tag = chunk->tag();
@@ -232,6 +253,11 @@ bool RecoveryContext::StageSinkChunk(int node, PartitionPtr chunk) {
   serde::Writer writer(&c.bytes);
   chunk->SerializeTo(writer);
   chunk->DropPayload();
+  std::lock_guard lock(mu_);
+  if (!membership_.Serving(node) || sunk_tags_.count(c.tag) != 0) {
+    fenced_rejects_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   sink_chunks_[c.tag].push_back(std::move(c));
   return true;
 }
@@ -253,9 +279,14 @@ void RecoveryContext::CommitSink(int node, Tag tag) {
     }
     // The tag is consumed: its ledger entries (all delivered, or the merge
     // could not have dispatched under MergeSafe) will never re-deliver.
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [tag](const Entry& e) { return e.tag == tag; }),
-                   entries_.end());
+    auto tit = tag_entries_.find(tag);
+    if (tit != tag_entries_.end()) {
+      const std::set<EntryKey> keys = std::move(tit->second);
+      tag_entries_.erase(tit);
+      for (const EntryKey& key : keys) {
+        EraseEntryLocked(entries_.find(key));
+      }
+    }
     inner = hooks_[static_cast<std::size_t>(node)].sink;
   }
   if (!inner) {
@@ -305,6 +336,7 @@ void RecoveryContext::OnNodeLost(int node) {
   }
   {
     std::lock_guard lock(mu_);
+    const std::uint64_t now = NowNs();
     // 1) Uncommitted splits assigned to the lost node: discard their staged
     //    entries, bump the epoch (fencing any zombie stage/commit) and mark
     //    them pending re-execution on a survivor.
@@ -314,101 +346,170 @@ void RecoveryContext::OnNodeLost(int node) {
         continue;
       }
       const auto id = static_cast<std::int64_t>(i);
-      const std::uint32_t old_epoch = s.epoch;
-      entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                    [id, old_epoch](const Entry& e) {
-                                      return e.split == id && e.epoch == old_epoch;
-                                    }),
-                     entries_.end());
+      EraseEpochLocked(id, s.epoch);
       ++s.epoch;
+      s.next_seq = 0;
       s.state = Split::State::kPending;
+      s.attempt = 0;
+      s.not_before_ns = now;
+      pending_splits_.insert(id);
     }
     // 2) Committed entries that had been delivered to the lost node and whose
     //    tag is not yet sunk: the data died with the node's queue — mark for
     //    re-delivery from the ledger (no producer re-execution needed).
-    for (Entry& e : entries_) {
-      if (e.committed && e.delivered && e.delivered_to == node) {
-        e.delivered = false;
-        e.delivered_to = -1;
-        e.redelivery = true;
-        undelivered_committed_.fetch_add(1, std::memory_order_release);
-      }
+    for (const EntryKey& key : delivered_at_[static_cast<std::size_t>(node)]) {
+      Entry& e = entries_.at(key);
+      e.delivered = false;
+      e.delivered_to = -1;
+      e.redelivery = true;
+      e.attempt = 0;
+      e.not_before_ns = now;
+      pending_.insert(key);
+      undelivered_committed_.fetch_add(1, std::memory_order_release);
     }
-    // 3) Sink chunks the lost node staged for unsunk tags are partial merge
+    delivered_at_[static_cast<std::size_t>(node)].clear();
+    // 3) Sends still in flight to the lost node will never be acked by a
+    //    serving owner: re-target them now. A late ack from the lost node no
+    //    longer matches and is ignored.
+    for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+      Entry& e = entries_.at(*it);
+      if (e.in_flight_to != node) {
+        ++it;
+        continue;
+      }
+      e.in_flight_to = -1;
+      e.attempt = 0;
+      e.not_before_ns = now;
+      pending_.insert(*it);
+      it = in_flight_.erase(it);
+    }
+    // 4) Sink chunks the lost node staged for unsunk tags are partial merge
     //    output; the merge re-runs elsewhere and re-stages them.
     for (auto& [tag, chunks] : sink_chunks_) {
       chunks.erase(std::remove_if(chunks.begin(), chunks.end(),
                                   [node](const SinkChunk& c) { return c.node == node; }),
                    chunks.end());
     }
-    sweep_needed_.store(true, std::memory_order_release);
+    WakeSweepLocked(now);
   }
   Sweep();
   recovering_.store(false, std::memory_order_release);
 }
 
+void RecoveryContext::OnDeliveryAck(int target, const ShuffleWireId& id,
+                                    DeliveryStatus status) {
+  std::lock_guard lock(mu_);
+  const EntryKey key{id.split, id.epoch, id.seq};
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.in_flight_to != target) {
+    return;  // Settled, re-marked by OnNodeLost, or erased with its tag.
+  }
+  Entry& e = it->second;
+  in_flight_.erase(key);
+  e.in_flight_to = -1;
+  if (status == DeliveryStatus::kBackoff) {
+    RetryLaterLocked(key, e, NowNs());
+  } else {
+    SettleLocked(key, e, target);
+  }
+}
+
 void RecoveryContext::Sweep() {
-  if (!sweep_needed_.exchange(false, std::memory_order_acq_rel)) {
+  if (NowNs() < sweep_due_ns_.load(std::memory_order_acquire)) {
     return;
   }
-  std::lock_guard lock(mu_);
-  bool leftover = false;
-  // Re-queue pending splits on the effective owner of their old assignment.
-  for (std::size_t i = 0; i < splits_.size(); ++i) {
-    Split& s = splits_[i];
-    if (s.state != Split::State::kPending) {
+  Window window;
+  {
+    std::lock_guard lock(mu_);
+    const std::uint64_t now = NowNs();
+    sweep_due_ns_.store(kNever, std::memory_order_relaxed);
+    RequeueSplitsLocked(now);
+    ExpireAcksLocked(now);
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      const EntryKey key = *it++;  // Dispatch may erase |key| from pending_.
+      Entry& e = entries_.at(key);
+      if (e.not_before_ns > now) {
+        WakeSweepLocked(e.not_before_ns);
+        continue;
+      }
+      DispatchLocked(key, e, now, &window);
+    }
+  }
+  ShipWindow(window);
+}
+
+void RecoveryContext::RequeueSplitsLocked(std::uint64_t now) {
+  // Re-queue pending splits on the effective owner of their old assignment,
+  // one attempt per tick; an OME parks the split until its backoff elapses.
+  for (auto it = pending_splits_.begin(); it != pending_splits_.end();) {
+    const std::int64_t id = *it;
+    Split& s = splits_[static_cast<std::size_t>(id)];
+    if (s.not_before_ns > now) {
+      WakeSweepLocked(s.not_before_ns);
+      ++it;
       continue;
     }
     const int target = membership_.EffectiveOwner(s.assigned_node);
     if (!membership_.Serving(target)) {
-      leftover = true;  // No survivors; the coordinator aborts the job.
+      WakeSweepLocked(now);  // No survivors; the coordinator aborts the job.
+      ++it;
       continue;
     }
-    auto fit = factories_.find(s.type);
-    if (fit == factories_.end()) {
+    if (factories_.count(s.type) == 0) {
       LOG_ERROR() << "recovery: no partition factory for split type "
                   << static_cast<unsigned>(s.type);
+      ++it;
       continue;
     }
-    bool queued = false;
-    for (int attempt = 0; attempt <= config_.shuffle_retries && !queued; ++attempt) {
-      if (!membership_.Serving(target)) {
-        break;
-      }
-      if (attempt > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        BackoffSleep(attempt, static_cast<std::uint64_t>(i) * 31 + 7);
-      }
-      try {
-        PartitionPtr dp = Materialize(s.type, target, s.bytes);
-        dp->set_tag(s.tag);
-        dp->set_origin(static_cast<std::int64_t>(i), s.epoch);
-        hooks_[static_cast<std::size_t>(target)].push(dp);
-        queued = true;
-      } catch (const memsim::OutOfMemoryError&) {
-        // Target under pressure; back off and retry, then leave pending.
-      }
+    if (s.attempt > 0) {
+      retries_.fetch_add(1, std::memory_order_relaxed);
+      common::BackoffRegistry::Instance().NoteRetry(common::BackoffUse::kLedgerDeliver);
     }
-    if (!queued) {
-      leftover = true;
+    try {
+      PartitionPtr dp = Materialize(s.type, target, s.bytes);
+      dp->set_tag(s.tag);
+      dp->set_origin(id, s.epoch);
+      hooks_[static_cast<std::size_t>(target)].push(dp);
+    } catch (const memsim::OutOfMemoryError&) {
+      // Target under pressure: retry after the backoff, on a later tick.
+      s.not_before_ns = NextAttemptNs(&s.attempt, static_cast<std::uint64_t>(id) * 31 + 7, now);
+      WakeSweepLocked(s.not_before_ns);
+      ++it;
       continue;
     }
+    s.attempt = 0;
     s.assigned_node = target;
     s.state = Split::State::kQueued;
+    it = pending_splits_.erase(it);
     splits_reexecuted_.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr) {
       tracer_->Emit(obs::EventKind::kLineageReexec, static_cast<std::uint16_t>(target),
-                    static_cast<std::uint64_t>(i), s.epoch);
+                    static_cast<std::uint64_t>(id), s.epoch);
     }
   }
-  // Retry committed-but-undelivered entries.
-  for (Entry& e : entries_) {
-    if (e.committed && !e.delivered && !DeliverLocked(e)) {
-      leftover = true;
+}
+
+void RecoveryContext::ExpireAcksLocked(std::uint64_t now) {
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    Entry& e = entries_.at(*it);
+    if (e.ack_deadline_ns == 0) {
+      ++it;  // The send call is still running; ShipWindow stamps the deadline.
+      continue;
     }
-  }
-  if (leftover) {
-    sweep_needed_.store(true, std::memory_order_release);
+    if (now < e.ack_deadline_ns) {
+      WakeSweepLocked(e.ack_deadline_ns);
+      ++it;
+      continue;
+    }
+    // No verdict in time: the frame or its ack was lost. Resend with the same
+    // (split, epoch, seq) after the backoff; the receiver's dedup absorbs a
+    // copy that did land and re-acks it.
+    ack_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    common::BackoffRegistry::Instance().NoteRetry(common::BackoffUse::kShuffleAck);
+    const EntryKey key = *it;
+    it = in_flight_.erase(it);
+    e.in_flight_to = -1;
+    RetryLaterLocked(key, e, now);
   }
 }
 
@@ -463,8 +564,8 @@ RecoveryContext::MigrateOutcome RecoveryContext::MigratePartition(
       retries_.fetch_add(1, std::memory_order_relaxed);
       BackoffSleep(attempt, Mix64(seq));
     }
-    if (delivery_channel_) {
-      const DeliveryStatus st = delivery_channel_(target, id, bytes);
+    if (migration_channel_) {
+      const DeliveryStatus st = migration_channel_(target, id, bytes);
       if (st == DeliveryStatus::kDelivered) {
         landed = true;
         break;
@@ -525,26 +626,28 @@ RecoveryContext::MigrateOutcome RecoveryContext::MigratePartition(
   // (fencing any stray copy's future outputs and its commit) and re-execute
   // from durable bytes via Sweep. Strictly conservative: worst case is one
   // redundant re-execution, never a duplicate or lost tuple.
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [split, epoch](const Entry& e) {
-                                  return e.split == split && e.epoch == epoch;
-                                }),
-                 entries_.end());
+  EraseEpochLocked(split, epoch);
   ++s.epoch;
+  s.next_seq = 0;
   s.state = Split::State::kPending;
-  sweep_needed_.store(true, std::memory_order_release);
+  s.attempt = 0;
+  const std::uint64_t now = NowNs();
+  s.not_before_ns = now;
+  pending_splits_.insert(split);
+  WakeSweepLocked(now);
   return MigrateOutcome::kAbandoned;
 }
 
-bool RecoveryContext::DeliverLocked(Entry& entry) {
+void RecoveryContext::DispatchLocked(const EntryKey& key, Entry& entry, std::uint64_t now,
+                                     Window* window) {
   if (entry.delivered) {
     // (split, epoch, seq) already landed on a serving owner: a re-delivered
     // duplicate. The chaos sweeps assert this counter stays zero.
     if (membership_.Serving(entry.delivered_to)) {
       duplicates_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return true;
     }
-    return true;
+    pending_.erase(key);
+    return;
   }
   if (sunk_tags_.count(entry.tag) != 0) {
     // The tag's merge already committed; late data here would be a
@@ -553,70 +656,168 @@ bool RecoveryContext::DeliverLocked(Entry& entry) {
     entry.delivered = true;
     entry.delivered_to = -1;
     undelivered_committed_.fetch_sub(1, std::memory_order_release);
-    return true;
+    pending_.erase(key);
+    return;
   }
-  auto fit = factories_.find(entry.type);
-  if (fit == factories_.end()) {
+  const bool wired = factories_.count(entry.type) != 0;
+  if (!wired) {
     LOG_ERROR() << "recovery: no partition factory for shuffle type "
                 << static_cast<unsigned>(entry.type);
-    return false;
   }
-  for (int attempt = 0; attempt <= config_.shuffle_retries; ++attempt) {
-    const int target = membership_.EffectiveOwner(entry.home);
-    if (!membership_.Serving(target)) {
-      return false;  // Circuit breaker: nobody serves this range right now.
-    }
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      if (tracer_ != nullptr) {
-        tracer_->Emit(obs::EventKind::kShuffleRetry, static_cast<std::uint16_t>(target),
-                      static_cast<std::uint64_t>(attempt),
-                      static_cast<std::uint64_t>(entry.seq));
-      }
-      BackoffSleep(attempt, Mix64(static_cast<std::uint64_t>(entry.split) << 20 |
-                                  entry.seq));
-    }
-    bool landed = false;
-    if (delivery_channel_) {
-      // Transport path: ship the serialized bytes; the receive side
-      // materializes (RemotePush) and acks. kBackoff (OME over there, or a
-      // lost ack) retries exactly like a local OME; kPeerGone mirrors the
-      // in-memory push into a fenced runtime — the bytes are gone with the
-      // target and OnNodeLost will re-mark them once it is declared dead.
-      const ShuffleWireId id{entry.split, entry.epoch, entry.seq, entry.type, entry.tag};
-      const DeliveryStatus st = delivery_channel_(target, id, entry.bytes);
-      if (st == DeliveryStatus::kBackoff) {
-        continue;
-      }
-      landed = true;
-    } else {
-      try {
-        PartitionPtr dp = Materialize(entry.type, target, entry.bytes);
-        dp->set_tag(entry.tag);
-        dp->set_origin(entry.split, entry.epoch);
-        hooks_[static_cast<std::size_t>(target)].push(dp);
-        landed = true;
-      } catch (const memsim::OutOfMemoryError&) {
-        // Target heap full right now; back off (capped exponential + jitter)
-        // and re-check membership — the target may get demoted meanwhile.
-      }
-    }
-    if (landed) {
-      entry.delivered = true;
-      entry.delivered_to = target;
-      undelivered_committed_.fetch_sub(1, std::memory_order_release);
-      if (entry.redelivery) {
-        redeliveries_.fetch_add(1, std::memory_order_relaxed);
-        if (tracer_ != nullptr) {
-          tracer_->Emit(obs::EventKind::kShuffleRedeliver,
-                        static_cast<std::uint16_t>(target),
-                        static_cast<std::uint64_t>(entry.split), entry.seq);
-        }
-      }
-      return true;
+  const int target = membership_.EffectiveOwner(entry.home);
+  if (!wired || !membership_.Serving(target)) {
+    // Circuit breaker: nobody serves this range right now. Try again on the
+    // next tick.
+    pending_.insert(key);
+    WakeSweepLocked(now);
+    return;
+  }
+  if (entry.attempt > 0) {
+    retries_.fetch_add(1, std::memory_order_relaxed);
+    common::BackoffRegistry::Instance().NoteRetry(common::BackoffUse::kLedgerDeliver);
+    if (tracer_ != nullptr) {
+      tracer_->Emit(obs::EventKind::kShuffleRetry, static_cast<std::uint16_t>(target),
+                    static_cast<std::uint64_t>(entry.attempt),
+                    static_cast<std::uint64_t>(std::get<2>(key)));
     }
   }
-  return false;
+  if (delivery_channel_) {
+    // Transport path: the send goes out after mu_ is released; the receive
+    // side materializes (RemotePush) and its ack lands in OnDeliveryAck.
+    pending_.erase(key);
+    in_flight_.insert(key);
+    entry.in_flight_to = target;
+    entry.ack_deadline_ns = 0;
+    entry.send_serial = ++send_serial_;
+    window->push_back(Shipment{
+        target,
+        ShuffleWireId{std::get<0>(key), std::get<1>(key), std::get<2>(key), entry.type,
+                      entry.tag},
+        entry.bytes, entry.send_serial});
+    return;
+  }
+  try {
+    PartitionPtr dp = Materialize(entry.type, target, *entry.bytes);
+    dp->set_tag(entry.tag);
+    dp->set_origin(std::get<0>(key), std::get<1>(key));
+    hooks_[static_cast<std::size_t>(target)].push(dp);
+  } catch (const memsim::OutOfMemoryError&) {
+    // Target heap full right now; back off (capped exponential + jitter) and
+    // re-check membership then — the target may get demoted meanwhile.
+    RetryLaterLocked(key, entry, now);
+    return;
+  }
+  pending_.erase(key);
+  SettleLocked(key, entry, target);
+}
+
+void RecoveryContext::SettleLocked(const EntryKey& key, Entry& entry, int target) {
+  entry.delivered = true;
+  entry.delivered_to = target;
+  entry.attempt = 0;
+  delivered_at_[static_cast<std::size_t>(target)].insert(key);
+  undelivered_committed_.fetch_sub(1, std::memory_order_release);
+  if (entry.redelivery) {
+    redeliveries_.fetch_add(1, std::memory_order_relaxed);
+    if (tracer_ != nullptr) {
+      tracer_->Emit(obs::EventKind::kShuffleRedeliver, static_cast<std::uint16_t>(target),
+                    static_cast<std::uint64_t>(std::get<0>(key)), std::get<2>(key));
+    }
+  }
+}
+
+void RecoveryContext::RetryLaterLocked(const EntryKey& key, Entry& entry, std::uint64_t now) {
+  entry.not_before_ns = NextAttemptNs(
+      &entry.attempt,
+      Mix64(static_cast<std::uint64_t>(std::get<0>(key)) << 20 | std::get<2>(key)), now);
+  pending_.insert(key);
+  WakeSweepLocked(entry.not_before_ns);
+}
+
+std::uint64_t RecoveryContext::NextAttemptNs(int* attempt, std::uint64_t salt,
+                                             std::uint64_t now) const {
+  // Rounds of shuffle_retries backed-off retries; an exhausted round starts
+  // over on the next tick, exactly as the old inline retry loop did when the
+  // following Sweep picked the entry up again.
+  *attempt = (*attempt + 1) % (config_.shuffle_retries + 1);
+  if (*attempt == 0) {
+    return now;
+  }
+  common::BackoffPolicy policy;
+  policy.base_ms = config_.backoff_base_ms;
+  policy.cap_ms = config_.backoff_cap_ms;
+  return now + MsToNs(common::BackoffDelayMs(policy, *attempt, salt));
+}
+
+void RecoveryContext::EraseEntryLocked(std::map<EntryKey, Entry>::iterator it) {
+  const EntryKey& key = it->first;
+  Entry& e = it->second;
+  if (e.committed && !e.delivered) {
+    // Only a sunk tag erases committed entries, and MergeSafe kept its merge
+    // from dispatching while any were undelivered: settle it as a late
+    // delivery to a sunk tag would be.
+    sunk_tag_drops_.fetch_add(1, std::memory_order_relaxed);
+    undelivered_committed_.fetch_sub(1, std::memory_order_release);
+    pending_.erase(key);
+    in_flight_.erase(key);
+  }
+  if (e.delivered && e.delivered_to >= 0) {
+    delivered_at_[static_cast<std::size_t>(e.delivered_to)].erase(key);
+  }
+  auto tit = tag_entries_.find(e.tag);
+  if (tit != tag_entries_.end()) {
+    tit->second.erase(key);
+    if (tit->second.empty()) {
+      tag_entries_.erase(tit);
+    }
+  }
+  entries_.erase(it);
+}
+
+void RecoveryContext::EraseEpochLocked(std::int64_t split, std::uint32_t epoch) {
+  auto it = entries_.lower_bound(EntryKey{split, epoch, 0});
+  while (it != entries_.end() && std::get<0>(it->first) == split &&
+         std::get<1>(it->first) == epoch) {
+    EraseEntryLocked(it++);
+  }
+}
+
+void RecoveryContext::ShipWindow(Window& window) {
+  if (window.empty()) {
+    return;
+  }
+  // Never with mu_ held: Send blocks on a full queue, and the driver's
+  // receive thread needs mu_ to record the acks that drain it.
+  for (Shipment& s : window) {
+    s.sent = delivery_channel_(s.target, s.id, *s.bytes);
+  }
+  std::lock_guard lock(mu_);
+  const std::uint64_t now = NowNs();
+  for (const Shipment& s : window) {
+    auto it = entries_.find(EntryKey{s.id.split, s.id.epoch, s.id.seq});
+    if (it == entries_.end() || it->second.in_flight_to < 0 ||
+        it->second.send_serial != s.serial) {
+      continue;  // Acked, re-marked or erased while the window was sending.
+    }
+    Entry& e = it->second;
+    if (s.sent) {
+      e.ack_deadline_ns = now + ack_timeout_ns_;
+      WakeSweepLocked(e.ack_deadline_ns);
+      continue;
+    }
+    // Refused before the frame left: the target endpoint is closed. Like the
+    // in-memory push into a fenced runtime, the bytes are gone with it and
+    // OnNodeLost re-marks them once the node is declared dead.
+    in_flight_.erase(it->first);
+    e.in_flight_to = -1;
+    SettleLocked(it->first, e, s.target);
+  }
+}
+
+void RecoveryContext::WakeSweepLocked(std::uint64_t at_ns) {
+  if (at_ns < sweep_due_ns_.load(std::memory_order_relaxed)) {
+    sweep_due_ns_.store(at_ns, std::memory_order_release);
+  }
 }
 
 PartitionPtr RecoveryContext::Materialize(TypeId type, int node,
@@ -647,6 +848,7 @@ RecoveryStats RecoveryContext::stats() const {
   s.entries_staged = entries_staged_.load(std::memory_order_relaxed);
   s.redeliveries = redeliveries_.load(std::memory_order_relaxed);
   s.shuffle_retries = retries_.load(std::memory_order_relaxed);
+  s.ack_timeouts = ack_timeouts_.load(std::memory_order_relaxed);
   s.duplicates_dropped = duplicates_dropped_.load(std::memory_order_relaxed);
   s.fenced_rejects = fenced_rejects_.load(std::memory_order_relaxed);
   s.stale_commits = stale_commits_.load(std::memory_order_relaxed);

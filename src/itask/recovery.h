@@ -30,6 +30,13 @@
 //    a tag early and late re-executed data would be dropped.
 //  - AllComplete(): the coordinator treats the job as done only when, in
 //    addition, every tag that ever received entries has been sunk.
+//
+// Delivery is pipelined over a DeliveryChannel: a commit marks its entries
+// and snapshots them into a window under mu_, ships the window after mu_ is
+// released, and returns. Acks come back through OnDeliveryAck; timeouts,
+// backpressure resends and OME retries wait out a per-entry not-before time
+// that the coordinator's Sweep() tick drives. Nothing sleeps, and nothing
+// calls into the transport, with mu_ held.
 #ifndef ITASK_ITASK_RECOVERY_H_
 #define ITASK_ITASK_RECOVERY_H_
 
@@ -41,6 +48,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -88,9 +96,8 @@ struct RecoveryNodeHooks {
 
 // ---- Net-transport integration (src/net) ----
 // The ledger's delivery path can be routed over a message transport instead
-// of materializing directly on the target heap. The channel receives the
-// entry's exactly-once identity plus its serialized bytes and reports how the
-// far end took it; the ledger keeps ownership of retry/backoff/redelivery.
+// of materializing directly on the target heap. The far end reports how it
+// took each entry; the ledger keeps ownership of retry/backoff/redelivery.
 enum class DeliveryStatus : std::uint8_t {
   kDelivered = 0,  // Landed on the target (or the target deduped it).
   kBackoff,        // Target under memory pressure / ack timed out: retry.
@@ -114,7 +121,17 @@ struct ShuffleWireId {
 // bit to tell a migrating partition from a regular ledger delivery.
 inline constexpr std::uint64_t kMigrationSeqBit = 1ULL << 63;
 
+// Pipelined ledger delivery: hands one entry's (id, bytes) to the wire and
+// returns without waiting for the ack. false means the send was refused
+// before the frame left (target endpoint closed: handled as kPeerGone);
+// otherwise the verdict arrives later through RecoveryContext::OnDeliveryAck.
+// May block on transport backpressure; the ledger never calls it under mu_.
 using DeliveryChannel =
+    std::function<bool(int target, const ShuffleWireId&, const common::ByteBuffer&)>;
+
+// Migration's blocking round trip: ships one partition and returns the
+// target's verdict (kBackoff on ack timeout). Called without mu_.
+using MigrationChannel =
     std::function<DeliveryStatus(int target, const ShuffleWireId&, const common::ByteBuffer&)>;
 
 struct RecoveryStats {
@@ -123,6 +140,7 @@ struct RecoveryStats {
   std::uint64_t entries_staged = 0;
   std::uint64_t redeliveries = 0;     // Entries re-sent after an owner death.
   std::uint64_t shuffle_retries = 0;  // Delivery attempts beyond the first.
+  std::uint64_t ack_timeouts = 0;     // Pipelined sends re-sent for want of an ack.
   std::uint64_t duplicates_dropped = 0;  // Must be 0: the dedup audit counter.
   std::uint64_t fenced_rejects = 0;   // Stages refused (dead/stale producer).
   std::uint64_t stale_commits = 0;    // Commits refused (dead producer/epoch).
@@ -155,9 +173,21 @@ class RecoveryContext {
 
   // ---- Net-transport wiring (optional; before the job runs) ----
   // Routes committed-entry delivery through |channel| instead of the direct
-  // Materialize+push path. Pass nullptr to detach (the fabric does on
-  // teardown).
-  void SetDeliveryChannel(DeliveryChannel channel);
+  // Materialize+push path. A sent entry whose ack has not arrived within
+  // |ack_timeout_ms| is re-sent by Sweep() with the same id. Pass nullptr to
+  // detach (the fabric does on teardown).
+  void SetDeliveryChannel(DeliveryChannel channel, double ack_timeout_ms);
+
+  // Routes migration deliveries through |channel| (nullptr: direct push).
+  void SetMigrationChannel(MigrationChannel channel);
+
+  // The far end's verdict on a pipelined send of |id| to |target|: kDelivered
+  // settles the entry, kBackoff schedules a resend after the backoff, and
+  // kPeerGone marks it delivered to the dead target as the inproc path would.
+  // An ack that no longer matches the entry's outstanding send (already
+  // settled, re-marked by OnNodeLost, or erased with its tag) is ignored.
+  // Called on transport threads; takes mu_ and never blocks on the wire.
+  void OnDeliveryAck(int target, const ShuffleWireId& id, DeliveryStatus status);
 
   // Routes heartbeats through |sink| (the fabric sends them as transport
   // messages carrying heap stats) instead of beating membership directly.
@@ -190,9 +220,9 @@ class RecoveryContext {
   // Receive side of a transport delivery: rehydrates |bytes| as a partition
   // of |id.type| on |node|'s heap and pushes it into the node's queue.
   // kBackoff on OME, kPeerGone when |node| is no longer serving. Runs on
-  // transport threads and deliberately takes no lock: factories and hooks are
-  // frozen before the job starts, and a DeliverLocked holding mu_ may be
-  // blocked waiting for exactly this call's ack.
+  // transport threads and takes no lock: factories and hooks are frozen
+  // before the job starts, and keeping mu_ off the receive path means a
+  // node's materialization never queues behind another worker's commit.
   DeliveryStatus RemotePush(int node, const ShuffleWireId& id, common::ByteBuffer& bytes);
 
   // ---- DurableStore ----
@@ -208,8 +238,11 @@ class RecoveryContext {
   bool StageShuffle(int producer, int home, PartitionPtr out);
 
   // Commits one (split, epoch): marks the split done and delivers its staged
-  // entries to the effective owner of each entry's home range. Rejected (a
-  // stale commit) when the producer was declared dead or the epoch moved on.
+  // entries to the effective owner of each entry's home range — inline on
+  // the inproc path, as one pipelined window over a DeliveryChannel (the
+  // call returns once the window is handed to the wire, not when it is
+  // acked). Rejected (a stale commit) when the producer was declared dead or
+  // the epoch moved on.
   void CommitEpoch(int producer, std::int64_t split, std::uint32_t epoch);
 
   // ---- SinkGate ----
@@ -235,10 +268,10 @@ class RecoveryContext {
   // re-delivery, discard its staged sink chunks, then Sweep().
   void OnNodeLost(int node);
 
-  // Re-queues pending (re-execution) splits and retries pending deliveries.
-  // Cheap no-op when nothing is pending; called from the coordinator's poll
-  // loop so a delivery that failed transiently (target under pressure or
-  // later demoted) is eventually re-driven.
+  // The retry tick: re-queues pending (re-execution) splits, re-sends
+  // pipelined deliveries whose ack timed out, and retries pending deliveries
+  // whose backoff has elapsed. A lock-free no-op until the earliest of those
+  // times; called from the coordinator's poll loop.
   void Sweep();
 
   // ---- Pressure-driven migration (DESIGN.md §14) ----
@@ -283,24 +316,46 @@ class RecoveryContext {
     Tag tag = kNoTag;
     common::ByteBuffer bytes;  // Serialized input (cleared once committed).
     std::uint32_t epoch = 0;
+    std::uint64_t next_seq = 0;  // Seq of the next entry staged under |epoch|.
     int assigned_node = 0;
     enum class State { kQueued, kPending, kCommitted };
     State state = State::kQueued;
+    int attempt = 0;                 // kPending: position in the retry round.
+    std::uint64_t not_before_ns = 0;  // kPending: earliest next attempt.
   };
 
+  // (split, epoch, seq): an entry's exactly-once identity. entries_ is
+  // ordered by it, so one (split, epoch) is one contiguous range.
+  using EntryKey = std::tuple<std::int64_t, std::uint32_t, std::uint64_t>;
+
   struct Entry {
-    std::int64_t split = -1;
-    std::uint32_t epoch = 0;
-    std::uint64_t seq = 0;
     TypeId type = 0;
     Tag tag = kNoTag;
     int home = 0;
-    common::ByteBuffer bytes;
+    // Shared with delivery windows, which ship it after mu_ is released.
+    std::shared_ptr<common::ByteBuffer> bytes;
     bool committed = false;
     bool delivered = false;
     bool redelivery = false;  // Was un-delivered by an owner death.
     int delivered_to = -1;
+    // Committed, undelivered entries are either pending (in pending_) or in
+    // flight to one target (in in_flight_).
+    int in_flight_to = -1;
+    std::uint64_t send_serial = 0;      // Tells this send from later resends.
+    std::uint64_t ack_deadline_ns = 0;  // 0 while the send call is running.
+    std::uint64_t not_before_ns = 0;    // Pending: earliest next attempt.
+    int attempt = 0;                    // Position in the current retry round.
   };
+
+  // One send that CommitEpoch/Sweep ships after releasing mu_.
+  struct Shipment {
+    int target = 0;
+    ShuffleWireId id;
+    std::shared_ptr<const common::ByteBuffer> bytes;
+    std::uint64_t serial = 0;
+    bool sent = false;
+  };
+  using Window = std::vector<Shipment>;
 
   struct SinkChunk {
     TypeId type = 0;
@@ -309,16 +364,46 @@ class RecoveryContext {
     common::ByteBuffer bytes;
   };
 
-  // Delivers one committed entry to the effective owner of its home range,
-  // with capped-exponential-backoff retries against transient OMEs and a
-  // circuit breaker on the target's membership state. Returns false when the
-  // entry must stay pending (Sweep retries later). mu_ held.
-  bool DeliverLocked(Entry& entry);
+  // One delivery attempt for a committed, undelivered entry that is not in
+  // flight: routes it to the effective owner of its home range behind a
+  // membership circuit breaker. Inproc, it materializes there now; with a
+  // channel, it marks the entry in flight and appends the send to |window|.
+  // Whatever cannot go now stays pending for Sweep(). mu_ held.
+  void DispatchLocked(const EntryKey& key, Entry& entry, std::uint64_t now_ns,
+                      Window* window);
+
+  // The entry landed on (or was refused by a dead) |target|. mu_ held.
+  void SettleLocked(const EntryKey& key, Entry& entry, int target);
+
+  // A failed attempt: park the entry as pending until its backoff elapses.
+  void RetryLaterLocked(const EntryKey& key, Entry& entry, std::uint64_t now_ns);
+
+  // Advances |*attempt| within its retry round and returns the not-before
+  // time of that attempt: the shared backoff ladder, restarting on the next
+  // tick once shuffle_retries retries are used up.
+  std::uint64_t NextAttemptNs(int* attempt, std::uint64_t salt, std::uint64_t now_ns) const;
+
+  // Erases one entry and every index pointing at it. mu_ held.
+  void EraseEntryLocked(std::map<EntryKey, Entry>::iterator it);
+  // Erases every entry staged under (split, epoch). mu_ held.
+  void EraseEpochLocked(std::int64_t split, std::uint32_t epoch);
+
+  // Sends |window| (mu_ NOT held), then stamps each still-outstanding send's
+  // ack deadline and settles refused sends as kPeerGone.
+  void ShipWindow(Window& window);
+
+  // Sweep() parts, mu_ held.
+  void RequeueSplitsLocked(std::uint64_t now_ns);
+  void ExpireAcksLocked(std::uint64_t now_ns);
+
+  // Lowers the time of the next useful Sweep() to |at_ns|. mu_ held.
+  void WakeSweepLocked(std::uint64_t at_ns);
 
   // Materializes |bytes| as a fresh partition of |type| on |node|'s heap.
   // Throws memsim::OutOfMemoryError if the single attempt fails.
   PartitionPtr Materialize(TypeId type, int node, common::ByteBuffer& bytes);
 
+  // Migration's retry sleep; runs without mu_.
   void BackoffSleep(int attempt, std::uint64_t salt);
 
   RecoveryConfig config_;
@@ -330,6 +415,8 @@ class RecoveryContext {
   // Net-transport hooks. Written during wiring (single-threaded), read by the
   // delivery path and monitor threads afterwards.
   DeliveryChannel delivery_channel_;
+  std::uint64_t ack_timeout_ns_ = 0;
+  MigrationChannel migration_channel_;
   std::function<void(int, std::uint64_t, std::uint64_t)> beat_sink_;
   std::function<void(int)> node_lost_hook_;
 
@@ -337,8 +424,14 @@ class RecoveryContext {
   std::vector<RecoveryNodeHooks> hooks_;
   std::map<TypeId, PartitionFactory> factories_;
   std::deque<Split> splits_;
-  std::deque<Entry> entries_;
-  std::map<std::pair<std::int64_t, std::uint32_t>, std::uint64_t> next_seq_;
+  std::set<std::int64_t> pending_splits_;  // Splits in State::kPending.
+  std::map<EntryKey, Entry> entries_;
+  // Indexes over entries_, so no path scans the whole ledger.
+  std::map<Tag, std::set<EntryKey>> tag_entries_;
+  std::set<EntryKey> pending_;    // Committed, undelivered, not in flight.
+  std::set<EntryKey> in_flight_;  // Sent, awaiting the ack.
+  std::vector<std::set<EntryKey>> delivered_at_;  // Per node: delivered_to.
+  std::uint64_t send_serial_ = 0;
   std::map<Tag, std::vector<SinkChunk>> sink_chunks_;
   std::set<Tag> sunk_tags_;
 
@@ -351,7 +444,10 @@ class RecoveryContext {
   std::atomic<std::uint64_t> uncommitted_splits_{0};
   std::atomic<std::uint64_t> undelivered_committed_{0};
   std::atomic<bool> recovering_{false};
-  std::atomic<bool> sweep_needed_{false};
+  // Steady-clock time (ns) from which Sweep() has work; kNever when idle.
+  // Written under mu_, read lock-free by Sweep()'s early exit.
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::atomic<std::uint64_t> sweep_due_ns_{kNever};
 
   // Stats (relaxed atomics; snapshot via stats()).
   std::atomic<std::uint64_t> splits_registered_{0};
@@ -359,6 +455,7 @@ class RecoveryContext {
   std::atomic<std::uint64_t> entries_staged_{0};
   std::atomic<std::uint64_t> redeliveries_{0};
   std::atomic<std::uint64_t> retries_{0};
+  std::atomic<std::uint64_t> ack_timeouts_{0};
   std::atomic<std::uint64_t> duplicates_dropped_{0};
   std::atomic<std::uint64_t> fenced_rejects_{0};
   std::atomic<std::uint64_t> stale_commits_{0};

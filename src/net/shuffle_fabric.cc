@@ -28,7 +28,12 @@ ShuffleFabric::ShuffleFabric(const NetConfig& config, core::RecoveryContext* rec
   }
   recovery_->SetDeliveryChannel(
       [this](int target, const core::ShuffleWireId& id, const common::ByteBuffer& bytes) {
-        return Deliver(target, id, bytes);
+        return SendDelivery(target, id, bytes);
+      },
+      static_cast<double>(config_.ack_timeout_ms));
+  recovery_->SetMigrationChannel(
+      [this](int target, const core::ShuffleWireId& id, const common::ByteBuffer& bytes) {
+        return DeliverAndWait(target, id, bytes);
       });
   recovery_->SetBeatSink([this](int node, std::uint64_t used, std::uint64_t cap) {
     Message hb;
@@ -55,7 +60,8 @@ ShuffleFabric::ShuffleFabric(const NetConfig& config, core::RecoveryContext* rec
 ShuffleFabric::~ShuffleFabric() {
   // Detach before the transport dies; runtimes are already stopped by the
   // time a job tears its fabric down, so no heartbeat races this.
-  recovery_->SetDeliveryChannel(nullptr);
+  recovery_->SetDeliveryChannel(nullptr, 0.0);
+  recovery_->SetMigrationChannel(nullptr);
   recovery_->SetBeatSink(nullptr);
   recovery_->SetNodeLostHook(nullptr);
   transport_.reset();
@@ -74,14 +80,8 @@ std::uint64_t ShuffleFabric::HeapUsedBytes(int node) const {
   return heap_used_[static_cast<std::size_t>(node)]->load(std::memory_order_relaxed);
 }
 
-core::DeliveryStatus ShuffleFabric::Deliver(int target, const core::ShuffleWireId& id,
-                                            const common::ByteBuffer& bytes) {
-  const AckKey key{target, id.split, id.epoch, id.seq};
-  {
-    std::lock_guard<std::mutex> lock(ack_mu_);
-    ack_results_.erase(key);  // A stale ack from a prior attempt must not match.
-  }
-
+bool ShuffleFabric::SendDelivery(int target, const core::ShuffleWireId& id,
+                                 const common::ByteBuffer& bytes) {
   Message msg;
   msg.kind = MsgKind::kShuffleData;
   msg.src = kDriverEndpoint;
@@ -101,7 +101,17 @@ core::DeliveryStatus ShuffleFabric::Deliver(int target, const core::ShuffleWireI
              target);
   }
   deliveries_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (!transport_->Send(std::move(msg))) {
+  return transport_->Send(std::move(msg));
+}
+
+core::DeliveryStatus ShuffleFabric::DeliverAndWait(int target, const core::ShuffleWireId& id,
+                                                   const common::ByteBuffer& bytes) {
+  const AckKey key{target, id.split, id.epoch, id.seq};
+  {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    ack_results_.erase(key);  // A stale ack from a prior attempt must not match.
+  }
+  if (!SendDelivery(target, id, bytes)) {
     return core::DeliveryStatus::kPeerGone;
   }
 
@@ -120,20 +130,9 @@ core::DeliveryStatus ShuffleFabric::Deliver(int target, const core::ShuffleWireI
     common::BackoffRegistry::Instance().NoteRetry(common::BackoffUse::kShuffleAck);
     return core::DeliveryStatus::kBackoff;  // Retry: dedup absorbs the resend.
   }
-  const AckStatus status = ack_results_[key];
+  const core::DeliveryStatus status = ack_results_[key];
   ack_results_.erase(key);
-  switch (status) {
-    case AckStatus::kOk:
-      acks_ok_.fetch_add(1, std::memory_order_relaxed);
-      return core::DeliveryStatus::kDelivered;
-    case AckStatus::kBackpressure:
-      acks_backpressure_.fetch_add(1, std::memory_order_relaxed);
-      return core::DeliveryStatus::kBackoff;
-    case AckStatus::kRefused:
-      acks_refused_.fetch_add(1, std::memory_order_relaxed);
-      return core::DeliveryStatus::kPeerGone;
-  }
-  return core::DeliveryStatus::kBackoff;
+  return status;
 }
 
 void ShuffleFabric::HandleDriverMessage(Message&& msg) {
@@ -141,10 +140,28 @@ void ShuffleFabric::HandleDriverMessage(Message&& msg) {
     case MsgKind::kShuffleAck: {
       EmitFlow(obs::EventKind::kMsgRecv, static_cast<std::uint16_t>(num_nodes_), msg,
                msg.src);
+      core::DeliveryStatus status = core::DeliveryStatus::kBackoff;
+      switch (static_cast<AckStatus>(msg.a)) {
+        case AckStatus::kOk:
+          acks_ok_.fetch_add(1, std::memory_order_relaxed);
+          status = core::DeliveryStatus::kDelivered;
+          break;
+        case AckStatus::kBackpressure:
+          acks_backpressure_.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case AckStatus::kRefused:
+          acks_refused_.fetch_add(1, std::memory_order_relaxed);
+          status = core::DeliveryStatus::kPeerGone;
+          break;
+      }
+      if ((msg.seq & core::kMigrationSeqBit) == 0) {
+        recovery_->OnDeliveryAck(msg.src, core::ShuffleWireId{msg.split, msg.epoch, msg.seq},
+                                 status);
+        break;
+      }
       {
         std::lock_guard<std::mutex> lock(ack_mu_);
-        ack_results_[AckKey{msg.src, msg.split, msg.epoch, msg.seq}] =
-            static_cast<AckStatus>(msg.a);
+        ack_results_[AckKey{msg.src, msg.split, msg.epoch, msg.seq}] = status;
       }
       ack_cv_.notify_all();
       break;
@@ -239,7 +256,8 @@ FabricStats ShuffleFabric::stats() const {
   s.acks_ok = acks_ok_.load(std::memory_order_relaxed);
   s.acks_backpressure = acks_backpressure_.load(std::memory_order_relaxed);
   s.acks_refused = acks_refused_.load(std::memory_order_relaxed);
-  s.ack_timeouts = ack_timeouts_.load(std::memory_order_relaxed);
+  s.ack_timeouts =
+      ack_timeouts_.load(std::memory_order_relaxed) + recovery_->stats().ack_timeouts;
   s.dup_payloads_dropped = dup_payloads_dropped_.load(std::memory_order_relaxed);
   s.heartbeats_sent = heartbeats_sent_.load(std::memory_order_relaxed);
   s.transport = transport_->Stats();

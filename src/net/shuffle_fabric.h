@@ -6,12 +6,20 @@
 // an endpoint). The fabric registers one endpoint per node plus the driver
 // endpoint, then wires itself into the job's RecoveryContext:
 //
-//  - delivery channel: DeliverLocked hands (ShuffleWireId, bytes) here; the
-//    fabric sends a kShuffleData message from the driver endpoint and blocks
-//    for the matching kShuffleAck (ack_timeout_ms). Receiver-side dedup by
-//    (split, epoch, seq) makes sender retries after a lost ack idempotent —
-//    those drops are counted here (dup_payloads_dropped), separately from the
-//    ledger's own duplicates_dropped audit counter, which must stay zero.
+//  - delivery channel: the ledger ships each committed entry as one
+//    kShuffleData message from the driver endpoint and returns without
+//    waiting (the ledger calls it only after releasing its lock, so a full
+//    send queue blocks one committing worker, never the ledger). The node's
+//    kShuffleAck comes back on the driver endpoint's receive thread and is
+//    matched by (target, split, epoch, seq) in RecoveryContext::OnDeliveryAck;
+//    the ledger's Sweep() tick owns ack timeouts and resends. Receiver-side
+//    dedup by (split, epoch, seq) makes a resend after a lost ack idempotent
+//    — those drops are counted here (dup_payloads_dropped), separately from
+//    the ledger's own duplicates_dropped audit counter, which must stay zero.
+//  - migration channel: a migrating partition needs its verdict before the
+//    caller can decide between keep and spill, so it blocks for its ack
+//    (ack_timeout_ms). Migration seqs carry core::kMigrationSeqBit, which is
+//    how the driver handler tells the two kinds of ack apart.
 //  - beat sink: each node's monitor heartbeat travels as a kHeartbeat message
 //    carrying heap occupancy; the driver handler beats membership. Over the
 //    inproc backend this collapses to a synchronous Beat() — byte-for-byte
@@ -41,7 +49,7 @@ struct FabricStats {
   std::uint64_t acks_ok = 0;
   std::uint64_t acks_backpressure = 0;
   std::uint64_t acks_refused = 0;
-  std::uint64_t ack_timeouts = 0;
+  std::uint64_t ack_timeouts = 0;  // Migration waits plus ledger resends.
   std::uint64_t dup_payloads_dropped = 0;  // Receiver-side transport dedup.
   std::uint64_t heartbeats_sent = 0;
   TransportStats transport;
@@ -70,8 +78,12 @@ class ShuffleFabric {
  private:
   using AckKey = std::tuple<int, std::int64_t, std::uint32_t, std::uint64_t>;
 
-  core::DeliveryStatus Deliver(int target, const core::ShuffleWireId& id,
-                               const common::ByteBuffer& bytes);
+  // Ledger delivery: queues one kShuffleData message; false = peer gone.
+  bool SendDelivery(int target, const core::ShuffleWireId& id, const common::ByteBuffer& bytes);
+  // Migration delivery: SendDelivery, then wait up to ack_timeout_ms for
+  // the ack.
+  core::DeliveryStatus DeliverAndWait(int target, const core::ShuffleWireId& id,
+                                      const common::ByteBuffer& bytes);
   void HandleDriverMessage(Message&& msg);
   void HandleNodeMessage(int node, Message&& msg);
 
@@ -86,10 +98,10 @@ class ShuffleFabric {
   const int num_nodes_;
   std::unique_ptr<Transport> transport_;
 
-  // Ack correlation: Deliver() waits here for the receiver's verdict.
+  // Ack correlation for migrations: DeliverAndWait() waits here.
   std::mutex ack_mu_;
   std::condition_variable ack_cv_;
-  std::map<AckKey, AckStatus> ack_results_;
+  std::map<AckKey, core::DeliveryStatus> ack_results_;
 
   // Receiver-side dedup, one set per node endpoint: an entry redelivered
   // after an owner death goes to a *different* node, so per-node keying

@@ -73,8 +73,6 @@ NetConfig NetConfigFromEnv(NetConfig base) {
   base.bind_host = common::EnvString("ITASK_NET_BIND_HOST", base.bind_host);
   base.connect_timeout_ms =
       std::max(1, common::EnvInt("ITASK_NET_CONNECT_TIMEOUT_MS", base.connect_timeout_ms));
-  base.drop_rx_frame_every =
-      std::max(0, common::EnvInt("ITASK_NET_DROP_RX_FRAME_EVERY", base.drop_rx_frame_every));
   const std::string fault_spec = common::EnvString("ITASK_NET_FAULT_SPEC", "");
   if (!fault_spec.empty()) {
     std::string err;
@@ -799,18 +797,8 @@ class SocketTransport final : public Transport {
             conns[i].reader.Feed(chunk, static_cast<std::size_t>(r));
             try {
               common::ByteBuffer frame;
-              while (!drop && conns[i].reader.Next(&frame)) {
+              while (conns[i].reader.Next(&frame)) {
                 counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
-                if (config_.drop_rx_frame_every > 0 &&
-                    rx_frame_serial_.fetch_add(1, std::memory_order_relaxed) %
-                            static_cast<std::uint64_t>(config_.drop_rx_frame_every) ==
-                        static_cast<std::uint64_t>(config_.drop_rx_frame_every) - 1) {
-                  // Fault injection: lose this frame and shed the connection,
-                  // exactly like the corrupt-frame path below. The sender
-                  // reconnects; the ledger re-delivers what was lost.
-                  drop = true;
-                  break;
-                }
                 frame.ResetCursor();
                 while (!frame.AtEnd()) {
                   Message msg = DecodeMessage(&frame);
@@ -856,8 +844,6 @@ class SocketTransport final : public Transport {
   StatCounters counters_;
   obs::Histogram depth_hist_;
   common::BackoffPolicy send_retry_policy_;
-  // Decoded-frame serial across all receivers, for drop_rx_frame_every.
-  std::atomic<std::uint64_t> rx_frame_serial_{0};
 };
 
 }  // namespace

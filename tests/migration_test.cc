@@ -226,7 +226,7 @@ TEST_F(MigrateProtocolTest, DefinitiveChannelFailureRevertsOwnership) {
 
   // Every attempt is refused before the frame could land: a verifiably
   // clean failure, so ownership reverts and the caller may spill instead.
-  rec_.SetDeliveryChannel(
+  rec_.SetMigrationChannel(
       [](int, const ShuffleWireId&, const common::ByteBuffer&) {
         return DeliveryStatus::kPeerGone;
       });
@@ -237,7 +237,7 @@ TEST_F(MigrateProtocolTest, DefinitiveChannelFailureRevertsOwnership) {
   // The revert left the ledger coherent: the same split migrates cleanly
   // once the channel heals.
   std::uint64_t seen_seq = 0;
-  rec_.SetDeliveryChannel(
+  rec_.SetMigrationChannel(
       [&seen_seq](int, const ShuffleWireId& wire, const common::ByteBuffer&) {
         seen_seq = wire.seq;
         return DeliveryStatus::kDelivered;
@@ -247,7 +247,7 @@ TEST_F(MigrateProtocolTest, DefinitiveChannelFailureRevertsOwnership) {
   // Migration frames live in their own seq namespace (high bit), so they can
   // never collide with ledger shuffle seqs in the receiver's dedup sets.
   EXPECT_NE(seen_seq & (1ULL << 63), 0u);
-  rec_.SetDeliveryChannel(nullptr);
+  rec_.SetMigrationChannel(nullptr);
 }
 
 TEST_F(MigrateProtocolTest, AmbiguousFailureAbandonsAndReexecutesFromLineage) {
@@ -258,14 +258,14 @@ TEST_F(MigrateProtocolTest, AmbiguousFailureAbandonsAndReexecutesFromLineage) {
   // the split back to the source could double-execute it against a landed
   // stray. The protocol must abandon instead: bump the epoch (fencing the
   // stray) and re-execute from durable bytes.
-  rec_.SetDeliveryChannel(
+  rec_.SetMigrationChannel(
       [](int, const ShuffleWireId&, const common::ByteBuffer&) {
         return DeliveryStatus::kBackoff;
       });
   EXPECT_EQ(rec_.MigratePartition(0, 1, dp),
             RecoveryContext::MigrateOutcome::kAbandoned);
   EXPECT_EQ(rec_.stats().partitions_migrated, 0u);
-  rec_.SetDeliveryChannel(nullptr);
+  rec_.SetMigrationChannel(nullptr);
 
   rec_.Sweep();  // Drives the scheduled re-execution.
   ASSERT_EQ(pushed_[1].size(), 1u);  // Re-materialized on the remapped owner.

@@ -235,6 +235,19 @@ TEST(MembershipTest, DisconnectedNodeKeepsServingAndHealNeedsAFreshBeat) {
   EXPECT_TRUE(m.BeatSinceDisconnect(1));
 }
 
+TEST(MembershipTest, ResetBeatsIsNotAHeal) {
+  // A partition observed while the job was still feeding must not be healed
+  // by the job-start reset of every beat stamp.
+  Membership m(2);
+  m.NoteDisconnected(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  m.ResetBeats();
+  EXPECT_FALSE(m.BeatSinceDisconnect(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  m.Beat(0);
+  EXPECT_TRUE(m.BeatSinceDisconnect(0));
+}
+
 TEST(MembershipTest, SuppressedBeatsNeverReadAsAHeal) {
   Membership m(2);
   m.SuppressBeats(0, true);
@@ -276,11 +289,11 @@ memsim::HeapConfig FastHeap() {
 
 class LedgerTest : public ::testing::Test {
  protected:
-  LedgerTest()
+  explicit LedgerTest(RecoveryConfig config = RecoveryConfig{})
       : heap0_(FastHeap()),
         heap1_(FastHeap()),
         spill_(std::filesystem::temp_directory_path(), "recovery-ledger"),
-        rec_(RecoveryConfig{}, 2) {
+        rec_(config, 2) {
     type_ = TypeIds::Get("recovery.test.u64");
     rec_.RegisterFactory(type_, [this](memsim::ManagedHeap* heap, serde::SpillManager* spill) {
       return std::make_shared<U64Partition>(type_, heap, spill);
@@ -397,6 +410,225 @@ TEST_F(LedgerTest, SunkTagRefusesLateChunks) {
   auto late = MakePartition(0, /*tag=*/7, {2});
   EXPECT_FALSE(rec_.StageSinkChunk(0, late));
   EXPECT_EQ(sunk_[0].size(), 1u);
+}
+
+// ---- Pipelined delivery over a DeliveryChannel ----
+
+// Backoff so short that every retry is due at the very next Sweep(): the
+// tests below drive the retry tick by hand and never sleep.
+RecoveryConfig InstantRetryConfig() {
+  RecoveryConfig config;
+  config.backoff_base_ms = 1e-9;
+  config.backoff_cap_ms = 1e-9;
+  return config;
+}
+
+// A DeliveryChannel that takes every send and holds its ack until the test
+// releases it through OnDeliveryAck. Everything runs on the test thread: a
+// commit that waited for its acks would never return.
+class PipelinedLedgerTest : public LedgerTest {
+ protected:
+  struct Sent {
+    int target;
+    ShuffleWireId id;
+  };
+
+  PipelinedLedgerTest() : LedgerTest(InstantRetryConfig()) {}
+
+  void Attach(double ack_timeout_ms) {
+    rec_.SetDeliveryChannel(
+        [this](int target, const ShuffleWireId& id, const common::ByteBuffer&) {
+          sent_.push_back({target, id});
+          return true;
+        },
+        ack_timeout_ms);
+  }
+
+  void Release(const Sent& s, DeliveryStatus status = DeliveryStatus::kDelivered) {
+    rec_.OnDeliveryAck(s.target, s.id, status);
+  }
+
+  // Registers a split on |producer| and stages one output (tag home + 1) per
+  // entry of |homes|; returns the split id.
+  std::int64_t StageSplit(int producer, std::initializer_list<int> homes) {
+    auto split = MakePartition(producer, kNoTag, {1, 2});
+    const std::int64_t id = rec_.RegisterSplit(*split, producer);
+    for (int home : homes) {
+      auto out = MakePartition(producer, static_cast<Tag>(home + 1), {10, 20});
+      out->set_origin(id, 0);
+      EXPECT_TRUE(rec_.StageShuffle(producer, home, out));
+    }
+    return id;
+  }
+
+  static bool SameId(const ShuffleWireId& a, const ShuffleWireId& b) {
+    return a.split == b.split && a.epoch == b.epoch && a.seq == b.seq;
+  }
+
+  std::vector<Sent> sent_;
+};
+
+TEST_F(PipelinedLedgerTest, SecondProducerCommitsWhileFirstAcksAreOutstanding) {
+  Attach(/*ack_timeout_ms=*/60000);
+  const std::int64_t a = StageSplit(0, {0, 1});
+  const std::int64_t b = StageSplit(1, {0});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 2u);  // The window left; both acks are held.
+  EXPECT_EQ(sent_[0].target, 0);
+  EXPECT_EQ(sent_[1].target, 1);
+
+  // The second producer stages and commits with the first's acks pending.
+  auto late = MakePartition(1, /*tag=*/2, {30});
+  late->set_origin(b, 0);
+  EXPECT_TRUE(rec_.StageShuffle(1, 1, late));
+  rec_.CommitEpoch(1, b, 0);
+  ASSERT_EQ(sent_.size(), 4u);
+  EXPECT_EQ(sent_[2].id.split, b);
+  EXPECT_EQ(sent_[3].id.split, b);
+  EXPECT_EQ(sent_[3].id.seq, 1u);
+  EXPECT_FALSE(rec_.MergeSafe());
+
+  for (const Sent& s : sent_) {
+    Release(s);
+  }
+  EXPECT_TRUE(rec_.MergeSafe());
+  EXPECT_EQ(rec_.stats().shuffle_retries, 0u);
+  EXPECT_EQ(rec_.stats().duplicates_dropped, 0u);
+}
+
+TEST_F(PipelinedLedgerTest, MergeSafeStaysFalseUntilTheLastAckLands) {
+  Attach(/*ack_timeout_ms=*/60000);
+  const std::int64_t a = StageSplit(0, {0, 1, 1});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 3u);
+  EXPECT_FALSE(rec_.MergeSafe());
+  Release(sent_[2]);
+  EXPECT_FALSE(rec_.MergeSafe());
+  Release(sent_[2]);  // A repeated ack settles nothing twice.
+  Release(sent_[0]);
+  EXPECT_FALSE(rec_.MergeSafe());
+  EXPECT_FALSE(rec_.AllComplete());
+  Release(sent_[1]);
+  EXPECT_TRUE(rec_.MergeSafe());
+  rec_.Sweep();
+  EXPECT_EQ(sent_.size(), 3u);  // Nothing left to resend.
+}
+
+TEST_F(PipelinedLedgerTest, DroppedAckIsResentBySweepWithTheSameId) {
+  Attach(/*ack_timeout_ms=*/0);  // Every outstanding ack is overdue at once.
+  const std::int64_t a = StageSplit(0, {1});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 1u);
+
+  // The ack is lost; the next tick re-sends the entry under its original
+  // (split, epoch, seq) so the receiver can dedup a copy that did land.
+  rec_.Sweep();
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_EQ(sent_[1].target, sent_[0].target);
+  EXPECT_TRUE(SameId(sent_[1].id, sent_[0].id));
+  EXPECT_EQ(rec_.stats().ack_timeouts, 1u);
+  EXPECT_EQ(rec_.stats().shuffle_retries, 1u);
+  EXPECT_FALSE(rec_.MergeSafe());
+
+  Release(sent_[1]);
+  EXPECT_TRUE(rec_.MergeSafe());
+  // The first send's ack straggles in after all: already settled, ignored.
+  Release(sent_[0]);
+  rec_.Sweep();
+  EXPECT_EQ(sent_.size(), 2u);
+  EXPECT_TRUE(rec_.MergeSafe());
+  EXPECT_EQ(rec_.stats().duplicates_dropped, 0u);
+  EXPECT_EQ(rec_.stats().redeliveries, 0u);
+}
+
+TEST_F(PipelinedLedgerTest, BackpressuredAckIsResentOnTheNextTick) {
+  Attach(/*ack_timeout_ms=*/60000);
+  const std::int64_t a = StageSplit(0, {1});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 1u);
+  Release(sent_[0], DeliveryStatus::kBackoff);  // Receiver heap full.
+  EXPECT_FALSE(rec_.MergeSafe());
+  rec_.Sweep();
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_TRUE(SameId(sent_[1].id, sent_[0].id));
+  EXPECT_EQ(rec_.stats().shuffle_retries, 1u);
+  EXPECT_EQ(rec_.stats().ack_timeouts, 0u);
+  Release(sent_[1]);
+  EXPECT_TRUE(rec_.MergeSafe());
+}
+
+TEST_F(PipelinedLedgerTest, AckArrivingAfterOnNodeLostDoesNotMarkDelivered) {
+  Attach(/*ack_timeout_ms=*/60000);
+  const std::int64_t a = StageSplit(0, {1, 1});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 2u);
+  Release(sent_[0]);  // Entry 0 lands on node 1; entry 1's ack is held.
+
+  // Node 1 dies: the entry it held re-delivers and the one in flight to it
+  // is re-targeted, both to the survivor and both under their original ids.
+  rec_.membership().SetState(1, NodeLiveness::kDead);
+  rec_.OnNodeLost(1);
+  ASSERT_EQ(sent_.size(), 4u);
+  EXPECT_EQ(sent_[2].target, 0);
+  EXPECT_EQ(sent_[3].target, 0);
+  EXPECT_TRUE(SameId(sent_[2].id, sent_[0].id));
+  EXPECT_TRUE(SameId(sent_[3].id, sent_[1].id));
+  EXPECT_FALSE(rec_.MergeSafe());
+
+  // The dead node's acks straggle in, for the held send and for a resend of
+  // the entry it had already taken: neither may mark anything delivered.
+  Release(sent_[1]);
+  Release(sent_[0]);
+  EXPECT_FALSE(rec_.MergeSafe());
+
+  Release(sent_[2]);
+  EXPECT_FALSE(rec_.MergeSafe());
+  Release(sent_[3]);
+  EXPECT_TRUE(rec_.MergeSafe());
+  EXPECT_EQ(rec_.stats().redeliveries, 1u);
+  EXPECT_EQ(rec_.stats().duplicates_dropped, 0u);
+}
+
+TEST_F(PipelinedLedgerTest, RefusedSendIsDeliveredToTheDeadTarget) {
+  // A send refused before the frame left (endpoint already closed) counts as
+  // delivered to the dead node, like a push into a fenced runtime; the
+  // node's death then re-marks it for redelivery.
+  rec_.SetDeliveryChannel(
+      [this](int target, const ShuffleWireId& id, const common::ByteBuffer&) {
+        sent_.push_back({target, id});
+        return target != 1;
+      },
+      /*ack_timeout_ms=*/60000);
+  const std::int64_t a = StageSplit(0, {1});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 1u);
+  EXPECT_TRUE(rec_.MergeSafe());
+  rec_.membership().SetState(1, NodeLiveness::kDead);
+  rec_.OnNodeLost(1);
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_EQ(sent_[1].target, 0);
+  Release(sent_[1]);
+  EXPECT_TRUE(rec_.MergeSafe());
+  EXPECT_EQ(rec_.stats().redeliveries, 1u);
+}
+
+TEST_F(PipelinedLedgerTest, ReexecutionUnderPressureRetriesOnLaterTicks) {
+  // A re-executed split whose new owner OMEs stays pending and is retried by
+  // later ticks, one attempt each, instead of sleeping inside Sweep(). The
+  // ladder keeps its shape: shuffle_retries counted retries, then a new round.
+  auto split = MakePartition(0, kNoTag, {1, 2, 3});
+  rec_.RegisterSplit(*split, 0);
+  heap1_.Poison();
+  rec_.membership().SetState(0, NodeLiveness::kDead);
+  rec_.OnNodeLost(0);  // First attempt, inside OnNodeLost's Sweep.
+  const int retries = RecoveryConfig{}.shuffle_retries;
+  for (int tick = 0; tick <= retries; ++tick) {
+    rec_.Sweep();
+  }
+  EXPECT_TRUE(pushed_[1].empty());
+  EXPECT_EQ(rec_.stats().shuffle_retries, static_cast<std::uint64_t>(retries));
+  EXPECT_EQ(rec_.stats().splits_reexecuted, 0u);
+  EXPECT_FALSE(rec_.MergeSafe());
 }
 
 }  // namespace
