@@ -8,8 +8,6 @@
 #include <filesystem>
 
 #include "common/rng.h"
-#include "io/async_spill_manager.h"
-#include "io/io_executor.h"
 #include "itask/typed_partition.h"
 #include "memsim/managed_heap.h"
 #include "obs/histogram.h"
@@ -96,11 +94,11 @@ void BM_PartitionSpillLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionSpillLoad)->Arg(1024)->Arg(16384);
 
-// Spill/load throughput of the async engine vs the synchronous baseline.
-// Each iteration spills a batch of 64KB blocks and loads them all back. The
-// async engine overlaps framing + file writes with the submission loop and
-// serves quick re-loads from the pending-write cache, so bytes/s should beat
-// the sync path (arg = I/O pool size; the sync baseline is the 0-arg case).
+// Spill/load throughput of the spill store. Each iteration spills a batch of
+// 64KB blocks and loads them all back. Arg = I/O pool size: 0 frames and
+// writes inline on the caller's thread; a pool overlaps framing + file writes
+// with the submission loop and serves quick re-loads from the pending-write
+// cache.
 common::ByteBuffer SpillBenchPayload() {
   // Half runs, half noise — roughly the mix serialized partitions show.
   common::Rng rng(99);
@@ -118,7 +116,9 @@ common::ByteBuffer SpillBenchPayload() {
   return common::ByteBuffer(std::move(data));
 }
 
-void SpillThroughputLoop(benchmark::State& state, serde::SpillManager& spill) {
+void BM_SpillThroughput(benchmark::State& state) {
+  serde::SpillManager spill(std::filesystem::temp_directory_path(), "bench-spill",
+                            static_cast<int>(state.range(0)));
   const common::ByteBuffer payload = SpillBenchPayload();
   constexpr int kBatch = 16;
   for (auto _ : state) {
@@ -133,23 +133,14 @@ void SpillThroughputLoop(benchmark::State& state, serde::SpillManager& spill) {
   }
   state.SetBytesProcessed(state.iterations() * kBatch *
                           static_cast<std::int64_t>(payload.size()));
+  const serde::SpillStats stats = spill.Stats();
+  state.counters["cancelled_writes"] = static_cast<double>(stats.cancelled_writes);
+  state.counters["compression_ratio"] =
+      stats.raw_bytes == 0 ? 1.0
+                           : static_cast<double>(stats.framed_bytes) /
+                                 static_cast<double>(stats.raw_bytes);
 }
-
-void BM_SyncSpillThroughput(benchmark::State& state) {
-  serde::SpillManager spill(std::filesystem::temp_directory_path(), "bench-sync");
-  SpillThroughputLoop(state, spill);
-}
-BENCHMARK(BM_SyncSpillThroughput);
-
-void BM_AsyncSpillThroughput(benchmark::State& state) {
-  io::IoExecutor exec(static_cast<int>(state.range(0)));
-  io::AsyncSpillManager spill(std::filesystem::temp_directory_path(), "bench-async", &exec);
-  SpillThroughputLoop(state, spill);
-  const io::IoStats io = spill.io_stats();
-  state.counters["cancelled_writes"] = static_cast<double>(io.cancelled_writes);
-  state.counters["compression_ratio"] = io.CompressionRatio();
-}
-BENCHMARK(BM_AsyncSpillThroughput)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SpillThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
 
 struct CountKv {
   using Key = std::uint64_t;

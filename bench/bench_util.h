@@ -92,7 +92,7 @@ inline std::string SizeLabel(const std::string& app, std::size_t size_index) {
 // Appends one data point to the bench's JSON-lines file so sweeps can be
 // collected and plotted. The file is <bench>.bench.jsonl in the working
 // directory (truncated on the harness's first row), or the path named by
-// ITASK_BENCH_JSON. Rows carry the async spill I/O engine's counters —
+// ITASK_BENCH_JSON. Rows carry the spill store's I/O counters —
 // spill/load bytes, read-stall time, compression ratio — next to the
 // headline numbers.
 inline void AppendBenchJsonRow(const std::string& bench, const std::string& app,

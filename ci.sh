@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + ctest), an ASan/UBSan build of
-# the concurrency-sensitive test suites (obs tracer, async spill I/O, IRS
-# core/runtime), a ThreadSanitizer pass over the same suites plus the recovery
-# ledger and the shuffle fabric, a chaos-smoke
-# sweep of the schedule fuzzer (tools/chaos_run) including a skewed-heap
-# migration slice, a multi-process telemetry smoke (merged cross-process
-# trace must pair ctrl/shuffle/migration flows), a multi-tenant job-service
-# smoke under TSan, release-mode bench smoke runs at a tiny scale (the
+# the concurrency-sensitive test suites (obs tracer, spill store I/O, IRS
+# core/runtime, recovery ledger, migration, chaos), a ThreadSanitizer pass
+# over the same layers plus the shuffle fabric and the property suite, a
+# chaos-smoke sweep of the schedule fuzzer (tools/chaos_run) including a
+# skewed-heap migration slice, a multi-process telemetry smoke (merged
+# cross-process trace must pair ctrl/shuffle/migration flows), a multi-tenant
+# job-service smoke under TSan, release-mode bench smoke runs at a tiny scale (the
 # jobsvc, net and migration benches are each gated on their JSON artifacts),
 # and the overall perf gate diffing BENCH_overall.json against the committed
 # baseline.
@@ -18,27 +18,30 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-echo "=== tier 2: ASan/UBSan on obs + io + itask suites ==="
+echo "=== tier 2: ASan/UBSan on obs + io + itask + recovery + migration + chaos suites ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
-cmake --build build-asan -j --target obs_test io_test itask_core_test irs_runtime_test irs_policy_test net_test
-for t in obs_test io_test itask_core_test irs_runtime_test irs_policy_test net_test; do
+cmake --build build-asan -j --target obs_test io_test itask_core_test irs_runtime_test irs_policy_test \
+  net_test recovery_test migration_test chaos_test
+for t in obs_test io_test itask_core_test irs_runtime_test irs_policy_test net_test \
+  recovery_test migration_test chaos_test; do
   echo "--- ${t} (sanitized) ---"
   "./build-asan/tests/${t}"
 done
 
-echo "=== tier 3: TSan on itask core / runtime / partition / io / ledger / fabric suites ==="
+echo "=== tier 3: TSan on itask core / runtime / partition / io / ledger / fabric / chaos / property / migration suites ==="
 TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
   -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
 cmake --build build-tsan -j --target itask_core_test irs_runtime_test partition_test io_test \
-  recovery_test net_test
-for t in itask_core_test irs_runtime_test partition_test io_test recovery_test; do
+  recovery_test net_test chaos_test property_test migration_test
+for t in itask_core_test irs_runtime_test partition_test io_test recovery_test \
+  chaos_test property_test migration_test; do
   echo "--- ${t} (tsan) ---"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"
 done

@@ -49,14 +49,12 @@ struct ClusterConfig {
 
 // Environment overrides for the I/O engine, applied on top of |base|:
 //   ITASK_IO_POOL          workers per node (0 = synchronous I/O)
-//   ITASK_IO_COMPRESSION   0 disables the block codec's RLE pass
 //   ITASK_IO_FAIL_WRITE_P  probability a spill write fails
 //   ITASK_IO_FAIL_READ_P   probability a spill read fails
 //   ITASK_IO_FAIL_NTH      fail every nth spill I/O op
 //   ITASK_IO_FAIL_SEED     seed for the injection's private RNG stream
 inline NodeIoConfig NodeIoConfigFromEnv(NodeIoConfig base) {
   base.pool_size = common::EnvInt("ITASK_IO_POOL", base.pool_size);
-  base.compression = common::EnvBool("ITASK_IO_COMPRESSION", base.compression);
   base.failure.write_probability =
       common::EnvDouble("ITASK_IO_FAIL_WRITE_P", base.failure.write_probability);
   base.failure.read_probability =

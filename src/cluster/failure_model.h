@@ -43,18 +43,20 @@ struct NodeFault {
   int node = 0;
   double at_ms = 0.0;
   FaultKind kind = FaultKind::kKill;
-  // kHang/kDisconnect: additionally age the node's last heartbeat by this
-  // much when the fault fires, as if it had already been silent that long.
-  // Tests use a value past the dead timeout (or disconnect grace) to make
-  // detection deterministic — a zombie or unhealed cut races job completion
-  // against wall-clock silence otherwise. 0 keeps real-time semantics
-  // (chaos default).
+  // kKill/kHang/kDisconnect: additionally age the node's last heartbeat by
+  // this much when the fault fires, as if it had already been silent that
+  // long. Tests use a value past the dead timeout (or disconnect grace) to
+  // make detection deterministic — a crash, zombie or unhealed cut races job
+  // completion against wall-clock silence otherwise. 0 keeps real-time
+  // semantics (chaos default).
   double silence_age_ms = 0.0;
 };
 
 class FailureModel {
  public:
-  void ScheduleKill(int node, double at_ms) { Add({node, at_ms, FaultKind::kKill}); }
+  void ScheduleKill(int node, double at_ms, double silence_age_ms = 0.0) {
+    Add({node, at_ms, FaultKind::kKill, silence_age_ms});
+  }
   void ScheduleHang(int node, double at_ms, double silence_age_ms = 0.0) {
     Add({node, at_ms, FaultKind::kHang, silence_age_ms});
   }

@@ -52,8 +52,8 @@ class ItaskJob {
         backoff_base_(common::BackoffRegistry::Instance().snapshot()) {
     for (int i = 0; i < cluster.size(); ++i) {
       Node& node = cluster.node(i);
-      core::NodeServices services{node.id(),    node.name(),  &node.heap(),
-                                  &node.spill(), node.tracer(), &node.async_spill()};
+      core::NodeServices services{node.id(), node.name(), &node.heap(), &node.spill(),
+                                  node.tracer()};
       services.job_id = tenant_.job_id;
       if (tenant_.job_id != memsim::kNoJob) {
         node.heap().SetJobBudget(tenant_.job_id, tenant_.node_budget_bytes);
@@ -207,7 +207,13 @@ class ItaskJob {
           // and lineage recovery still go through the heartbeat detector.
           // Over a socket transport the node's endpoint dies with it, so
           // in-flight deliveries fail as peer-gone instead of blocking.
+          // Tests may age the last beat so detection doesn't race job
+          // completion.
           recovery_->membership().SuppressBeats(fault.node, true);
+          if (fault.silence_age_ms > 0.0) {
+            recovery_->membership().AgeBeat(
+                fault.node, static_cast<std::uint64_t>(fault.silence_age_ms * 1e6));
+          }
           rt.Fence();
           if (fabric_ != nullptr) {
             fabric_->CloseNode(fault.node);

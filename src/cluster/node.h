@@ -1,17 +1,15 @@
-// Node: one simulated cluster machine — a managed heap, an I/O worker pool,
-// an async spill engine and a name. The paper's evaluation runs on an 11-node
-// EC2 cluster; here nodes are in-process so per-node memory pressure can be
-// reproduced deterministically.
+// Node: one simulated cluster machine — a managed heap, a spill store and a
+// name. The paper's evaluation runs on an 11-node EC2 cluster; here nodes are
+// in-process so per-node memory pressure can be reproduced deterministically.
 //
-// The node owns the spill I/O substrate end to end: an io::IoExecutor (the
-// bounded background worker pool) and an io::AsyncSpillManager layered on it.
-// Everything above talks to the engine through the serde::SpillManager base
-// interface, so a pool size of zero silently degrades to synchronous I/O.
+// The node's serde::SpillManager owns the spill I/O end to end: its bounded
+// background worker pool (io::IoExecutor, NodeIoConfig::pool_size workers; 0
+// runs every spill inline) and the framed files on disk.
 //
 // When the owning cluster hands the node a tracer, the node bridges its
 // substrates into it: every heap collection becomes a kGc event (reclaim
-// bytes, live-after, pause, LUGC flag), the spill manager reports its I/O and
-// the executor reports queue depth.
+// bytes, live-after, pause, LUGC flag), and the spill store reports its I/O
+// and queue depth.
 #ifndef ITASK_CLUSTER_NODE_H_
 #define ITASK_CLUSTER_NODE_H_
 
@@ -19,8 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "io/async_spill_manager.h"
-#include "io/io_executor.h"
 #include "memsim/managed_heap.h"
 #include "obs/tracer.h"
 #include "serde/spill_manager.h"
@@ -30,8 +26,7 @@ namespace itask::cluster {
 // Per-node spill I/O engine configuration (ClusterConfig carries one for the
 // whole cluster; see NodeIoConfigFromEnv in cluster.h for the env knobs).
 struct NodeIoConfig {
-  int pool_size = 2;        // Background I/O workers; 0 = synchronous (inline).
-  bool compression = true;  // Frame blocks through the RLE codec.
+  int pool_size = 2;  // Background I/O workers; 0 = synchronous (inline).
   serde::SpillFailureInjection failure;  // Disabled unless armed.
 };
 
@@ -43,14 +38,12 @@ class Node {
         name_("node" + std::to_string(id)),
         tracer_(tracer),
         heap_(heap_config),
-        io_(io_config.pool_size),
-        spill_(spill_root, name_, &io_, io_config.compression) {
+        spill_(spill_root, name_, io_config.pool_size) {
     if (io_config.failure.enabled()) {
       spill_.SetFailureInjection(io_config.failure);
     }
     if (tracer_ != nullptr) {
       spill_.SetTracer(tracer_, id_);
-      io_.SetTracer(tracer_, id_);
       heap_.AddGcListener([this](const memsim::GcEvent& event) {
         tracer_->Emit(obs::EventKind::kGc, static_cast<std::uint16_t>(id_),
                       event.reclaimed_bytes, event.live_after,
@@ -64,8 +57,6 @@ class Node {
   const std::string& name() const { return name_; }
   memsim::ManagedHeap& heap() { return heap_; }
   serde::SpillManager& spill() { return spill_; }
-  io::AsyncSpillManager& async_spill() { return spill_; }
-  io::IoExecutor& io_executor() { return io_; }
   obs::Tracer* tracer() { return tracer_; }
 
  private:
@@ -73,10 +64,7 @@ class Node {
   std::string name_;
   obs::Tracer* tracer_;
   memsim::ManagedHeap heap_;
-  // Declaration order is destruction order in reverse: the spill manager's
-  // dtor drains its queued writes while the executor is still alive.
-  io::IoExecutor io_;
-  io::AsyncSpillManager spill_;
+  serde::SpillManager spill_;
 };
 
 }  // namespace itask::cluster

@@ -42,7 +42,7 @@ struct RunMetrics {
   std::uint64_t parked_intermediate_bytes = 0;
   std::uint64_t lazy_serialized_bytes = 0;
 
-  // Async spill I/O engine counters (zero when running with synchronous I/O).
+  // Spill store I/O counters (serde::SpillStats).
   std::uint64_t io_cancelled_writes = 0;        // Queued writes served from memory.
   std::uint64_t io_cancelled_write_bytes = 0;   // Bytes that never touched disk.
   std::uint64_t io_raw_bytes = 0;               // Payload bytes the codec framed.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/backoff.h"
 #include "common/byte_buffer.h"
@@ -35,7 +36,7 @@ std::uint64_t DataPartition::SpillLocked(int priority) {
   serde::Writer writer(&buffer);
   SerializeTo(writer);
   const std::uint64_t freed = PayloadBytes();
-  spill_id_ = spill_->Spill(buffer, priority);
+  spill_id_ = spill_->Spill(std::move(buffer), priority);
   DropPayload();
   cursor_ = 0;
   resident_.store(false, std::memory_order_release);
@@ -83,12 +84,12 @@ void DataPartition::EnsureResidentLocked() {
     prefetch_ = {};
   }
   if (!loaded) {
-    // A failed asynchronous spill write surfaces its error on the first load
-    // and keeps the payload in the pending-write cache, so an immediate retry
-    // returns it from memory (AsyncSpillManager::LoadInternal); injected read
-    // faults likewise leave the file loadable. Retry a bounded number of
-    // times before treating the fault as fatal — without this, a single lost
-    // write aborts the whole job even though nothing was actually lost.
+    // A failed spill write surfaces its error on the first load and keeps
+    // the payload in the pending-write cache, so an immediate retry returns
+    // it from memory (SpillManager::LoadInternal); injected read faults
+    // likewise leave the file loadable. Retry a bounded number of times
+    // before treating the fault as fatal — without this, a single lost write
+    // aborts the whole job even though nothing was actually lost.
     // Shared retry policy (common/backoff.h, kLoadRetry): 8 attempts, 50us
     // base doubling to a 5ms cap, no jitter — this wait holds state_mu_, so
     // the worst case must stay tight and deterministic.
@@ -125,8 +126,7 @@ void DataPartition::EnsureResidentLocked() {
   } catch (...) {
     // Re-spill the buffer so the data is not lost, then rethrow.
     DropPayload();
-    buffer.ResetCursor();
-    spill_id_ = spill_->Spill(buffer);
+    spill_id_ = spill_->Spill(std::move(buffer));
     resident_.store(false, std::memory_order_release);
     throw;
   }

@@ -102,7 +102,7 @@ class DataPartition {
   // Starts a background load of a spilled payload (double-buffered
   // read-ahead: MITask prefetches group k+1 while merging group k). No-op —
   // returning false — when the partition is resident, already prefetching,
-  // contended, or the spill manager has no async engine.
+  // contended, or the spill store has no I/O pool (it runs inline).
   bool StartPrefetch(int priority = 0);
 
   // Moves the partition's charge to another node's heap/spill (models the

@@ -554,16 +554,12 @@ common::RunMetrics IrsRuntime::NodeMetrics() const {
   m.spilled_bytes = spill.spilled_bytes;
   m.loaded_bytes = spill.loaded_bytes;
   m.load_retries = spill.load_retries;
-
-  if (services_.async_spill != nullptr) {
-    const io::IoStats io = services_.async_spill->io_stats();
-    m.io_cancelled_writes = io.cancelled_writes;
-    m.io_cancelled_write_bytes = io.cancelled_write_bytes;
-    m.io_raw_bytes = io.raw_bytes;
-    m.io_framed_bytes = io.framed_bytes;
-    m.io_read_stall_ms = static_cast<double>(io.read_stall_ns) / 1e6;
-    m.io_read_stall_hist = services_.async_spill->ReadStallSnapshot();
-  }
+  m.io_cancelled_writes = spill.cancelled_writes;
+  m.io_cancelled_write_bytes = spill.cancelled_write_bytes;
+  m.io_raw_bytes = spill.raw_bytes;
+  m.io_framed_bytes = spill.framed_bytes;
+  m.io_read_stall_ms = static_cast<double>(spill.read_stall_ns) / 1e6;
+  m.io_read_stall_hist = spill.read_stall;
 
   const Scheduler::Stats sched = sched_.stats();
   m.interrupts = sched.interrupts;

@@ -24,7 +24,6 @@
 
 #include "common/metrics.h"
 #include "common/spin.h"
-#include "io/async_spill_manager.h"
 #include "itask/job_state.h"
 #include "itask/partition_manager.h"
 #include "itask/partition_queue.h"
@@ -46,9 +45,6 @@ struct NodeServices {
   memsim::ManagedHeap* heap = nullptr;
   serde::SpillManager* spill = nullptr;
   obs::Tracer* tracer = nullptr;  // Optional shared event stream.
-  // Set when |spill| is actually the node's async engine; NodeMetrics reads
-  // its cancellation/codec/stall counters through it.
-  io::AsyncSpillManager* async_spill = nullptr;
   // Tenant identity for multi-job clusters: worker/monitor threads run under
   // a JobScope with this id so the heap attributes their bytes, and the
   // monitor consults PressureVictimRank(job_id) before honoring a REDUCE.

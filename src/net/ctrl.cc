@@ -310,12 +310,7 @@ CtrlNodeInfo CtrlServer::node(int id) const {
   if (id < 0 || id >= static_cast<int>(peers_.size())) {
     return CtrlNodeInfo{};
   }
-  CtrlNodeInfo info = peers_[static_cast<std::size_t>(id)]->info;
-  // Stamp the staleness of the heap stats at read time so consumers can
-  // apply their own cutoff (CtrlHeapHeadroomBytes) without sharing a clock.
-  const std::uint64_t now = NowNs();
-  info.heap_age_ns = now > info.last_beat_ns ? now - info.last_beat_ns : 0;
-  return info;
+  return peers_[static_cast<std::size_t>(id)]->info;
 }
 
 bool CtrlServer::Dispatch(int node, const std::string& app,

@@ -54,29 +54,8 @@ struct CtrlNodeInfo {
   std::uint64_t heap_capacity = 0;
   std::uint64_t heap_used = 0;       // From the last heartbeat.
   std::uint64_t last_beat_ns = 0;    // steady_clock ns of the last heartbeat.
-  // Monotonic age of the stats above, stamped by CtrlServer::node() at read
-  // time. A wedged daemon's final beat is indistinguishable from a fresh one
-  // without this — consumers ranking nodes by heap_used must treat anything
-  // older than their cutoff as having no headroom at all.
-  std::uint64_t heap_age_ns = 0;
   bool connected = false;
 };
-
-// Headroom |info|'s node could offer while staying under |fill| of capacity,
-// by stats no older than |max_age_ns|. Returns 0 — never trust, rather than
-// guess — for disconnected peers, stale beats, or unknown capacity. This is
-// the ctrl-plane face of the same stale-stats-mean-no-headroom rule the
-// in-process MigrationBroker applies to heartbeat ages.
-inline std::uint64_t CtrlHeapHeadroomBytes(const CtrlNodeInfo& info,
-                                           std::uint64_t max_age_ns,
-                                           double fill = 1.0) {
-  if (!info.connected || info.heap_capacity == 0 || info.heap_age_ns > max_age_ns) {
-    return 0;
-  }
-  const auto line =
-      static_cast<std::uint64_t>(fill * static_cast<double>(info.heap_capacity));
-  return info.heap_used >= line ? 0 : line - info.heap_used;
-}
 
 struct JobResultMsg {
   std::uint64_t checksum = 0;

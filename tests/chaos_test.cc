@@ -117,7 +117,7 @@ TEST(ChaosPointTest, NoOpWhenNoFuzzerInstalled) {
 }
 
 // Seed 13's plan injects ~5% spill-write failures. Before the partition-load
-// retry fix, every app aborted under it: AsyncSpillManager surfaces a failed
+// retry fix, every app aborted under it: the spill store surfaces a failed
 // background write exactly once at load time (keeping the payload in the
 // pending-write cache so a retry succeeds from memory), but
 // DataPartition::EnsureResident treated that one-shot error as fatal and the

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -12,7 +13,6 @@
 
 #include "common/byte_buffer.h"
 #include "common/rng.h"
-#include "io/async_spill_manager.h"
 #include "io/frame_codec.h"
 #include "io/io_executor.h"
 #include "serde/spill_manager.h"
@@ -229,172 +229,247 @@ TEST(IoExecutorTest, TryCancelRemovesQueuedJobOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// AsyncSpillManager
+// Spill store (serde::SpillManager). SpillManagerTest runs the store inline
+// (pool 0); the AsyncSpill* suites give it a background I/O pool.
 
-class AsyncSpillTest : public ::testing::Test {
+using serde::SpillManager;
+using serde::SpillStats;
+
+template <int kPoolSize>
+class SpillStoreTest : public ::testing::Test {
  protected:
-  AsyncSpillTest()
-      : exec_(2),
-        mgr_(std::filesystem::temp_directory_path(), "io-test", &exec_) {}
-
-  IoExecutor exec_;
-  AsyncSpillManager mgr_;
+  SpillManager spill_{std::filesystem::temp_directory_path(), "io-test", kPoolSize};
 };
+using SpillManagerTest = SpillStoreTest<0>;
+using AsyncSpillTest = SpillStoreTest<2>;
+
+std::size_t FilesIn(const std::filesystem::path& dir) {
+  return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator(dir),
+                                                std::filesystem::directory_iterator()));
+}
+
+// Blocks the store's only I/O worker until the returned promise is set, so
+// writes submitted meanwhile stay queued (cancellable).
+std::promise<void> JamWorker(SpillManager& spill) {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  spill.executor().Submit(IoClass::kLoad, -1000, [opened] { opened.wait(); });
+  return gate;
+}
+
+TEST_F(SpillManagerTest, SpillLoadRoundTrip) {
+  common::Rng rng(1);
+  const common::ByteBuffer payload = RunnyBuffer(rng, 64 << 10);
+  const auto id = spill_.Spill(payload);
+  EXPECT_EQ(spill_.LoadAndRemove(id).bytes(), payload.bytes());
+}
+
+TEST_F(SpillManagerTest, StatsTrackBytes) {
+  const common::ByteBuffer payload(std::vector<std::uint8_t>(1000, 0x5a));
+  const auto id1 = spill_.Spill(payload);
+  const auto id2 = spill_.Spill(payload);
+  SpillStats stats = spill_.Stats();
+  EXPECT_EQ(stats.spilled_bytes, 2000u);
+  EXPECT_EQ(stats.spill_count, 2u);
+  EXPECT_EQ(stats.live_files, 2u);
+  EXPECT_EQ(stats.live_file_bytes, 2000u);
+  // Inline writes frame every block; the RLE codec wins on a single run.
+  EXPECT_EQ(stats.raw_bytes, 2000u);
+  EXPECT_LT(stats.framed_bytes, stats.raw_bytes);
+  EXPECT_EQ(stats.compressed_blocks, 2u);
+  spill_.LoadAndRemove(id1);
+  spill_.Remove(id2);
+  stats = spill_.Stats();
+  EXPECT_EQ(stats.loaded_bytes, 1000u);
+  EXPECT_EQ(stats.load_count, 1u);
+  EXPECT_EQ(stats.loads_from_disk, 1u);
+  EXPECT_EQ(stats.live_files, 0u);
+  EXPECT_EQ(stats.live_file_bytes, 0u);
+  EXPECT_EQ(stats.read_stall.count, 1u);
+}
+
+TEST_F(SpillManagerTest, LoadUnknownIdThrows) {
+  EXPECT_THROW(spill_.LoadAndRemove(12345), std::runtime_error);
+}
+
+TEST_F(SpillManagerTest, LoadedFileIsRemovedFromDisk) {
+  const auto id = spill_.Spill(common::ByteBuffer(std::vector<std::uint8_t>(10, 1)));
+  EXPECT_EQ(FilesIn(spill_.directory()), 1u);
+  spill_.LoadAndRemove(id);
+  EXPECT_EQ(FilesIn(spill_.directory()), 0u);
+  EXPECT_THROW(spill_.LoadAndRemove(id), std::runtime_error);
+}
+
+TEST(SpillManagerLifetimeTest, DirectoryRemovedOnDestruction) {
+  std::filesystem::path dir;
+  {
+    SpillManager spill(std::filesystem::temp_directory_path(), "lifetime", /*pool_size=*/2);
+    dir = spill.directory();
+    EXPECT_TRUE(std::filesystem::exists(dir));
+    // Never loaded: the destructor drains the write, then removes the file.
+    spill.Spill(common::ByteBuffer(std::vector<std::uint8_t>(4096, 3)));
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
 
 TEST_F(AsyncSpillTest, SpillLoadRoundTrip) {
   common::Rng rng(1);
   const common::ByteBuffer payload = RunnyBuffer(rng, 64 << 10);
-  const auto id = mgr_.Spill(payload);
-  mgr_.Drain();
-  const common::ByteBuffer loaded = mgr_.LoadAndRemove(id);
+  const auto id = spill_.Spill(payload);
+  spill_.Drain();
+  const common::ByteBuffer loaded = spill_.LoadAndRemove(id);
   EXPECT_EQ(loaded.bytes(), payload.bytes());
   // Stats report raw payload units, codec-agnostic.
-  const serde::SpillStats stats = mgr_.Stats();
+  const SpillStats stats = spill_.Stats();
   EXPECT_EQ(stats.spilled_bytes, payload.size());
   EXPECT_EQ(stats.loaded_bytes, payload.size());
+  EXPECT_EQ(stats.loads_from_disk, 1u);
   EXPECT_EQ(stats.live_files, 0u);
   EXPECT_EQ(stats.live_file_bytes, 0u);
 }
 
 TEST_F(AsyncSpillTest, LoadUnknownIdThrows) {
-  EXPECT_THROW(mgr_.LoadAndRemove(12345), std::runtime_error);
+  EXPECT_THROW(spill_.LoadAndRemove(12345), std::runtime_error);
 }
 
 TEST_F(AsyncSpillTest, LoadAsyncDeliversPayload) {
+  ASSERT_TRUE(spill_.SupportsAsync());
   common::Rng rng(2);
   const common::ByteBuffer payload = RandomBuffer(rng, 8 << 10);
-  const auto id = mgr_.Spill(payload);
-  std::future<common::ByteBuffer> f = mgr_.LoadAsync(id);
+  const auto id = spill_.Spill(payload);
+  std::future<common::ByteBuffer> f = spill_.LoadAsync(id);
   EXPECT_EQ(f.get().bytes(), payload.bytes());
 }
 
 TEST(AsyncSpillCancelTest, ImmediateLoadCancelsQueuedWrite) {
-  IoExecutor exec(1);
-  AsyncSpillManager mgr(std::filesystem::temp_directory_path(), "io-cancel", &exec);
-
-  // Jam the single worker so the spill's write stays queued (cancellable).
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  exec.Submit(IoClass::kLoad, -1000, [opened] { opened.wait(); });
+  SpillManager spill(std::filesystem::temp_directory_path(), "io-cancel", /*pool_size=*/1);
+  std::promise<void> gate = JamWorker(spill);
 
   common::Rng rng(3);
   const common::ByteBuffer payload = RunnyBuffer(rng, 16 << 10);
-  const auto id = mgr.Spill(payload);
-  const common::ByteBuffer loaded = mgr.LoadAndRemove(id);
+  const auto id = spill.Spill(payload);
+  const common::ByteBuffer loaded = spill.LoadAndRemove(id);
   gate.set_value();
-  mgr.Drain();
+  spill.Drain();
 
   EXPECT_EQ(loaded.bytes(), payload.bytes());
-  const IoStats io = mgr.io_stats();
-  EXPECT_EQ(io.cancelled_writes, 1u);
-  EXPECT_EQ(io.cancelled_write_bytes, payload.size());
-  EXPECT_EQ(io.loads_from_cache, 1u);
-  // The disk was never touched: nothing framed, no base write.
-  EXPECT_EQ(io.raw_bytes, 0u);
-  EXPECT_EQ(mgr.serde::SpillManager::Stats().spill_count, 0u);
+  const SpillStats stats = spill.Stats();
+  EXPECT_EQ(stats.cancelled_writes, 1u);
+  EXPECT_EQ(stats.cancelled_write_bytes, payload.size());
+  EXPECT_EQ(stats.loads_from_cache, 1u);
+  EXPECT_EQ(stats.load_count, 1u);
+  // The disk was never touched: nothing framed, no file written.
+  EXPECT_EQ(stats.raw_bytes, 0u);
+  EXPECT_EQ(stats.write_ms, 0.0);
+  EXPECT_EQ(FilesIn(spill.directory()), 0u);
 }
 
 TEST(AsyncSpillFailureTest, FailedWriteSurfacesOnceThenServesFromCache) {
-  IoExecutor exec(1);
-  AsyncSpillManager mgr(std::filesystem::temp_directory_path(), "io-fail", &exec);
-  serde::SpillFailureInjection inject;
-  inject.write_probability = 1.0;
-  mgr.SetFailureInjection(inject);
+  for (int pool : {0, 1}) {
+    SpillManager spill(std::filesystem::temp_directory_path(), "io-fail", pool);
+    serde::SpillFailureInjection inject;
+    inject.write_probability = 1.0;
+    spill.SetFailureInjection(inject);
 
-  common::Rng rng(4);
-  const common::ByteBuffer payload = RunnyBuffer(rng, 4 << 10);
-  const auto id = mgr.Spill(payload);
-  mgr.Drain();
+    common::Rng rng(4);
+    const common::ByteBuffer payload = RunnyBuffer(rng, 4 << 10);
+    const auto id = spill.Spill(payload);
+    spill.Drain();
 
-  EXPECT_EQ(mgr.io_stats().write_failures, 1u);
-  // The failure surfaces exactly once, then the cached payload is served —
-  // the data is never lost.
-  EXPECT_THROW(mgr.LoadAndRemove(id), std::runtime_error);
-  const common::ByteBuffer loaded = mgr.LoadAndRemove(id);
-  EXPECT_EQ(loaded.bytes(), payload.bytes());
-  // No double-counting: one spill accepted, one load served.
-  const serde::SpillStats stats = mgr.Stats();
-  EXPECT_EQ(stats.spill_count, 1u);
-  EXPECT_EQ(stats.load_count, 1u);
-  EXPECT_EQ(stats.live_files, 0u);
+    EXPECT_EQ(spill.Stats().write_failures, 1u) << "pool " << pool;
+    EXPECT_EQ(FilesIn(spill.directory()), 0u) << "pool " << pool;  // Partial file removed.
+    // The failure surfaces exactly once, then the cached payload is served —
+    // the data is never lost.
+    EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error) << "pool " << pool;
+    const common::ByteBuffer loaded = spill.LoadAndRemove(id);
+    EXPECT_EQ(loaded.bytes(), payload.bytes()) << "pool " << pool;
+    // No double-counting: one spill accepted, one load served.
+    const SpillStats stats = spill.Stats();
+    EXPECT_EQ(stats.spill_count, 1u) << "pool " << pool;
+    EXPECT_EQ(stats.load_count, 1u) << "pool " << pool;
+    EXPECT_EQ(stats.loads_from_cache, 1u) << "pool " << pool;
+    EXPECT_EQ(stats.live_files, 0u) << "pool " << pool;
+  }
 }
 
 TEST(AsyncSpillFailureTest, InjectedReadFailureIsRetryable) {
-  IoExecutor exec(1);
-  AsyncSpillManager mgr(std::filesystem::temp_directory_path(), "io-readfail", &exec);
+  for (int pool : {0, 1}) {
+    SpillManager spill(std::filesystem::temp_directory_path(), "io-readfail", pool);
 
-  common::Rng rng(5);
-  const common::ByteBuffer payload = RunnyBuffer(rng, 4 << 10);
-  const auto id = mgr.Spill(payload);
-  mgr.Drain();  // Durable before the read injection arms.
+    common::Rng rng(5);
+    const common::ByteBuffer payload = RunnyBuffer(rng, 4 << 10);
+    const auto id = spill.Spill(payload);
+    spill.Drain();  // Durable before the read injection arms.
 
-  serde::SpillFailureInjection inject;
-  inject.read_probability = 1.0;
-  mgr.SetFailureInjection(inject);
-  EXPECT_THROW(mgr.LoadAndRemove(id), std::runtime_error);
+    serde::SpillFailureInjection inject;
+    inject.read_probability = 1.0;
+    spill.SetFailureInjection(inject);
+    EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error) << "pool " << pool;
 
-  mgr.SetFailureInjection(serde::SpillFailureInjection{});
-  const common::ByteBuffer loaded = mgr.LoadAndRemove(id);
-  EXPECT_EQ(loaded.bytes(), payload.bytes());
-  EXPECT_GE(mgr.Stats().injected_failures, 1u);
+    spill.SetFailureInjection(serde::SpillFailureInjection{});
+    const common::ByteBuffer loaded = spill.LoadAndRemove(id);
+    EXPECT_EQ(loaded.bytes(), payload.bytes()) << "pool " << pool;
+    const SpillStats stats = spill.Stats();
+    EXPECT_EQ(stats.injected_failures, 1u) << "pool " << pool;
+    EXPECT_EQ(stats.load_count, 1u) << "pool " << pool;
+  }
 }
 
 TEST(AsyncSpillRemoveTest, RemoveCancelsQueuedAndDropsDurable) {
-  IoExecutor exec(1);
-  AsyncSpillManager mgr(std::filesystem::temp_directory_path(), "io-remove", &exec);
+  SpillManager spill(std::filesystem::temp_directory_path(), "io-remove", /*pool_size=*/1);
 
   // Queued entry: Remove cancels the pending write, disk untouched.
   {
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    exec.Submit(IoClass::kLoad, -1000, [opened] { opened.wait(); });
-    const auto id = mgr.Spill(common::ByteBuffer(std::vector<std::uint8_t>(1024, 1)));
-    mgr.Remove(id);
+    std::promise<void> gate = JamWorker(spill);
+    const auto id = spill.Spill(common::ByteBuffer(std::vector<std::uint8_t>(1024, 1)));
+    spill.Remove(id);
     gate.set_value();
-    mgr.Drain();
-    EXPECT_EQ(mgr.serde::SpillManager::Stats().spill_count, 0u);
-    EXPECT_THROW(mgr.LoadAndRemove(id), std::runtime_error);
+    spill.Drain();
+    EXPECT_EQ(spill.Stats().raw_bytes, 0u);
+    EXPECT_EQ(FilesIn(spill.directory()), 0u);
+    EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error);
   }
-  // Durable entry: Remove deletes the base file.
+  // Durable entry: Remove deletes the file.
   {
-    const auto id = mgr.Spill(common::ByteBuffer(std::vector<std::uint8_t>(1024, 2)));
-    mgr.Drain();
-    mgr.Remove(id);
-    EXPECT_EQ(mgr.Stats().live_files, 0u);
-    EXPECT_THROW(mgr.LoadAndRemove(id), std::runtime_error);
+    const auto id = spill.Spill(common::ByteBuffer(std::vector<std::uint8_t>(1024, 2)));
+    spill.Drain();
+    EXPECT_EQ(FilesIn(spill.directory()), 1u);
+    spill.Remove(id);
+    EXPECT_EQ(spill.Stats().live_files, 0u);
+    EXPECT_EQ(FilesIn(spill.directory()), 0u);
+    EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error);
   }
 }
 
 // Property: across random interleavings of spill / immediate load (cancelled
-// write) / drained load (disk round-trip) / injected write failures, the async
-// engine returns exactly the payload a synchronous SpillManager would — the
-// async path is semantics-preserving.
+// write) / drained load (disk round trip) / injected faults, the store with a
+// background pool returns exactly what the inline store returns for the same
+// operation stream, and accounts the same raw bytes and op counts.
 TEST(AsyncSpillPropertyTest, AsyncMatchesSyncAcrossInterleavings) {
   common::Rng rng(98765);
   for (int round = 0; round < 8; ++round) {
-    IoExecutor exec(2);
-    AsyncSpillManager async_mgr(std::filesystem::temp_directory_path(), "io-prop-async",
-                                &exec);
-    serde::SpillManager sync_mgr(std::filesystem::temp_directory_path(), "io-prop-sync");
+    SpillManager inline_store(std::filesystem::temp_directory_path(), "io-prop-inline", 0);
+    SpillManager pooled_store(std::filesystem::temp_directory_path(), "io-prop-pooled", 2);
     if (round >= 4) {
       serde::SpillFailureInjection inject;
       inject.every_nth = 3;
       inject.seed = 1000u + static_cast<std::uint64_t>(round);
-      async_mgr.SetFailureInjection(inject);
+      inline_store.SetFailureInjection(inject);
+      pooled_store.SetFailureInjection(inject);
     }
 
     struct Live {
-      std::uint64_t async_id;
-      std::uint64_t sync_id;
+      std::uint64_t inline_id;
+      std::uint64_t pooled_id;
       std::vector<std::uint8_t> payload;
     };
-    // A load may surface injected failures (each surfaces as an error, the
+    // A load may surface injected faults (each surfaces as an error, the
     // data is never lost); keep retrying — the shared nth-op counter also
     // advances under concurrent background writes.
-    const auto load_with_retries = [&async_mgr](std::uint64_t id) {
+    const auto load_with_retries = [](SpillManager& spill, std::uint64_t id) {
       for (int attempt = 0;; ++attempt) {
         try {
-          return async_mgr.LoadAndRemove(id);
+          return spill.LoadAndRemove(id);
         } catch (const std::runtime_error&) {
           if (attempt >= 8) {
             throw;
@@ -402,44 +477,44 @@ TEST(AsyncSpillPropertyTest, AsyncMatchesSyncAcrossInterleavings) {
         }
       }
     };
+    const auto load_both = [&](const Live& entry) {
+      ASSERT_EQ(load_with_retries(inline_store, entry.inline_id).bytes(), entry.payload);
+      ASSERT_EQ(load_with_retries(pooled_store, entry.pooled_id).bytes(), entry.payload);
+    };
     std::vector<Live> live;
-    const int ops = 40;
-    for (int op = 0; op < ops; ++op) {
+    for (int op = 0; op < 40; ++op) {
       const std::uint64_t kind = rng.NextBelow(4);
       if (kind <= 1 || live.empty()) {
         const common::ByteBuffer payload = RunnyBuffer(rng, 512 + rng.NextBelow(8192));
-        const auto async_id = async_mgr.Spill(payload);
-        // The sync reference never has injection armed; it defines expected
-        // payloads, not expected failures.
-        const auto sync_id = sync_mgr.Spill(payload);
-        live.push_back({async_id, sync_id, payload.bytes()});
+        live.push_back({inline_store.Spill(payload), pooled_store.Spill(payload), payload.bytes()});
         if (rng.NextBelow(2) == 0) {
-          async_mgr.Drain();  // Force the disk path for some entries.
+          pooled_store.Drain();  // Force the disk path for some entries.
         }
       } else {
         const std::size_t pick = rng.NextBelow(live.size());
-        Live entry = live[static_cast<std::size_t>(pick)];
+        const Live entry = live[pick];
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        const common::ByteBuffer from_async = load_with_retries(entry.async_id);
-        const common::ByteBuffer from_sync = sync_mgr.LoadAndRemove(entry.sync_id);
-        ASSERT_EQ(from_async.bytes(), entry.payload);
-        ASSERT_EQ(from_sync.bytes(), entry.payload);
+        load_both(entry);
       }
     }
-    // Drain the rest through both managers.
     for (const Live& entry : live) {
-      ASSERT_EQ(load_with_retries(entry.async_id).bytes(), entry.payload);
-      ASSERT_EQ(sync_mgr.LoadAndRemove(entry.sync_id).bytes(), entry.payload);
+      load_both(entry);
     }
-    EXPECT_EQ(async_mgr.Stats().live_files, 0u);
+    const SpillStats inline_stats = inline_store.Stats();
+    const SpillStats pooled_stats = pooled_store.Stats();
+    EXPECT_EQ(pooled_stats.spilled_bytes, inline_stats.spilled_bytes);
+    EXPECT_EQ(pooled_stats.loaded_bytes, inline_stats.loaded_bytes);
+    EXPECT_EQ(pooled_stats.spill_count, inline_stats.spill_count);
+    EXPECT_EQ(pooled_stats.load_count, inline_stats.load_count);
+    EXPECT_EQ(inline_stats.live_files, 0u);
+    EXPECT_EQ(pooled_stats.live_files, 0u);
   }
 }
 
 // Stress: concurrent spill/load/remove from several threads against one
-// manager. Every loaded payload must match its original; nothing leaks.
+// store. Every loaded payload must match its original; nothing leaks.
 TEST(AsyncSpillStressTest, ConcurrentSpillLoadRemove) {
-  IoExecutor exec(2);
-  AsyncSpillManager mgr(std::filesystem::temp_directory_path(), "io-stress", &exec);
+  SpillManager spill(std::filesystem::temp_directory_path(), "io-stress", /*pool_size=*/2);
 
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 60;
@@ -447,7 +522,7 @@ TEST(AsyncSpillStressTest, ConcurrentSpillLoadRemove) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&mgr, &mismatches, t] {
+    threads.emplace_back([&spill, &mismatches, t] {
       common::Rng rng(7000u + static_cast<std::uint64_t>(t));
       struct Owned {
         std::uint64_t id;
@@ -458,22 +533,22 @@ TEST(AsyncSpillStressTest, ConcurrentSpillLoadRemove) {
         const std::uint64_t kind = rng.NextBelow(5);
         if (kind <= 2 || owned.empty()) {
           const common::ByteBuffer payload = RunnyBuffer(rng, 256 + rng.NextBelow(4096));
-          owned.push_back({mgr.Spill(payload), payload.bytes()});
+          owned.push_back({spill.Spill(payload), payload.bytes()});
         } else if (kind == 3) {
           const std::size_t pick = rng.NextBelow(owned.size());
-          const Owned entry = owned[static_cast<std::size_t>(pick)];
+          const Owned entry = owned[pick];
           owned.erase(owned.begin() + static_cast<std::ptrdiff_t>(pick));
-          if (mgr.LoadAndRemove(entry.id).bytes() != entry.payload) {
+          if (spill.LoadAndRemove(entry.id).bytes() != entry.payload) {
             ++mismatches;
           }
         } else {
           const std::size_t pick = rng.NextBelow(owned.size());
-          mgr.Remove(owned[static_cast<std::size_t>(pick)].id);
+          spill.Remove(owned[pick].id);
           owned.erase(owned.begin() + static_cast<std::ptrdiff_t>(pick));
         }
       }
       for (const Owned& entry : owned) {
-        if (mgr.LoadAndRemove(entry.id).bytes() != entry.payload) {
+        if (spill.LoadAndRemove(entry.id).bytes() != entry.payload) {
           ++mismatches;
         }
       }
@@ -483,10 +558,11 @@ TEST(AsyncSpillStressTest, ConcurrentSpillLoadRemove) {
     th.join();
   }
   EXPECT_EQ(mismatches.load(), 0);
-  mgr.Drain();
-  const serde::SpillStats stats = mgr.Stats();
+  spill.Drain();
+  const SpillStats stats = spill.Stats();
   EXPECT_EQ(stats.live_files, 0u);
   EXPECT_EQ(stats.live_file_bytes, 0u);
+  EXPECT_EQ(FilesIn(spill.directory()), 0u);
 }
 
 }  // namespace

@@ -439,8 +439,7 @@ TEST(IrsLifecycleTest, RepeatedStartStopCyclesAreSafe) {
   cluster::Cluster cl(cc);
 
   cluster::Node& node = cl.node(0);
-  NodeServices services{node.id(),    node.name(),  &node.heap(),
-                        &node.spill(), node.tracer(), &node.async_spill()};
+  NodeServices services{node.id(), node.name(), &node.heap(), &node.spill(), node.tracer()};
   IrsConfig irs;
   irs.max_workers = 2;
   irs.monitor_period = std::chrono::milliseconds(1);
@@ -540,8 +539,8 @@ class OmeAccountingTest : public ::testing::Test {
     cc_.heap.real_pauses = false;
     cl_ = std::make_unique<cluster::Cluster>(cc_);
     cluster::Node& node = cl_->node(0);
-    NodeServices services{node.id(),    node.name(),  &node.heap(),
-                          &node.spill(), node.tracer(), &node.async_spill()};
+    NodeServices services{node.id(), node.name(), &node.heap(), &node.spill(),
+                          node.tracer()};
     IrsConfig irs;
     irs.max_workers = 2;
     irs.monitor_period = std::chrono::milliseconds(1);

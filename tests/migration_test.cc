@@ -1,9 +1,8 @@
 // Pressure-driven partition migration (DESIGN.md §14): the MigrationBroker's
-// staleness/headroom/cost decisions, the ctrl-plane headroom helper, the
-// MigratePartition ownership-remap protocol (remap-before-send, ambiguous-
-// failure abandon, definitive-failure revert), and end-to-end fingerprint
-// parity under skewed pressure — with and without killing the migration
-// destination mid-flight.
+// staleness/headroom/cost decisions, the MigratePartition ownership-remap
+// protocol (remap-before-send, ambiguous-failure abandon, definitive-failure
+// revert), and end-to-end fingerprint parity under skewed pressure — with and
+// without killing the migration destination mid-flight.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,7 +17,6 @@
 #include "itask/recovery.h"
 #include "itask/runtime.h"
 #include "itask/typed_partition.h"
-#include "net/ctrl.h"
 
 // ---- MigrationBroker unit tests: staleness, ranking, cost model ----
 
@@ -93,38 +91,6 @@ TEST(MigrationBrokerTest, CostModelSpillsSmallAndMigratesLarge) {
   fast_wire.rtt_us = 0.0;
   MigrationBroker broker2(2, fast_wire);
   EXPECT_TRUE(broker2.MigrationCheaper(16 << 10));  // No fixed cost: wire wins.
-}
-
-// ---- Ctrl-plane headroom helper: same stale-means-zero rule ----
-
-TEST(CtrlHeadroomTest, StaleDisconnectedOrUnsizedNodesOfferNothing) {
-  net::CtrlNodeInfo info;
-  info.connected = true;
-  info.heap_capacity = 1 << 20;
-  info.heap_used = 1 << 19;
-  info.heap_age_ns = 1'000'000;  // 1 ms old.
-
-  const std::uint64_t max_age_ns = 100'000'000;  // 100 ms cutoff.
-  EXPECT_EQ(net::CtrlHeapHeadroomBytes(info, max_age_ns),
-            (1u << 20) - (1u << 19));
-  EXPECT_EQ(net::CtrlHeapHeadroomBytes(info, max_age_ns, /*fill=*/0.75),
-            static_cast<std::uint64_t>(0.75 * (1 << 20)) - (1 << 19));
-
-  net::CtrlNodeInfo stale = info;
-  stale.heap_age_ns = max_age_ns + 1;
-  EXPECT_EQ(net::CtrlHeapHeadroomBytes(stale, max_age_ns), 0u);
-
-  net::CtrlNodeInfo gone = info;
-  gone.connected = false;
-  EXPECT_EQ(net::CtrlHeapHeadroomBytes(gone, max_age_ns), 0u);
-
-  net::CtrlNodeInfo unsized = info;
-  unsized.heap_capacity = 0;
-  EXPECT_EQ(net::CtrlHeapHeadroomBytes(unsized, max_age_ns), 0u);
-
-  net::CtrlNodeInfo full = info;
-  full.heap_used = full.heap_capacity;
-  EXPECT_EQ(net::CtrlHeapHeadroomBytes(full, max_age_ns), 0u);
 }
 
 // ---- MigratePartition protocol: remap-before-send, revert vs abandon ----
@@ -317,7 +283,7 @@ class SpillStepMigrateTest : public ::testing::Test {
     }
 
     NodeServices services{/*node_id=*/0, "spillstep-n0", &heap0_, &spill_,
-                          /*tracer=*/nullptr, /*async_spill=*/nullptr};
+                          /*tracer=*/nullptr};
     IrsConfig irs;
     irs.max_workers = 1;
     rt_ = std::make_unique<IrsRuntime>(services, irs, std::make_shared<JobState>());

@@ -94,7 +94,10 @@ TEST_P(KillNodeTest, KilledNodeRecoversWithIdenticalFingerprint) {
 
   for (int victim : {0, 1, 3}) {
     cluster::FailureModel model;
-    model.ScheduleKill(victim, 2.0);
+    // Age the victim's last beat past the dead timeout: a killed node with
+    // no work left would otherwise let the job finish before detection, and
+    // nodes_failed would stay 0.
+    model.ScheduleKill(victim, 2.0, /*silence_age_ms=*/10000.0);
     const AppResult faulted = RunFt(app, FtConfig(), &model);
     ASSERT_TRUE(faulted.metrics.succeeded)
         << app << " kill node " << victim << ": " << faulted.metrics.Summary();
@@ -650,9 +653,9 @@ TEST(IoFailEnvTest, ReadFailureEnvInjectsOnLoadPath) {
     auto& spill = cluster.node(0).spill();
     common::ByteBuffer payload(std::vector<std::uint8_t>(1024, 0xab));
     const auto id = spill.Spill(payload);
-    cluster.node(0).async_spill().Drain();
+    spill.Drain();
     EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error);
-    EXPECT_GE(cluster.node(0).async_spill().Stats().injected_failures, 1u);
+    EXPECT_GE(spill.Stats().injected_failures, 1u);
   }
   unsetenv("ITASK_IO_FAIL_READ_P");
   unsetenv("ITASK_IO_POOL");

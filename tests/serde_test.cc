@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "common/byte_buffer.h"
 #include "common/rng.h"
 #include "serde/serializer.h"
-#include "serde/spill_manager.h"
 
 namespace itask::serde {
 namespace {
@@ -84,62 +81,6 @@ TEST(SerializerTest, MixedPayloadRoundTrip) {
   EXPECT_EQ(r.ReadU64(), 1ULL << 50);
   EXPECT_EQ(r.ReadDouble(), 2.718);
   EXPECT_EQ(r.ReadString(), "key");
-}
-
-class SpillManagerTest : public ::testing::Test {
- protected:
-  SpillManagerTest() : spill_(std::filesystem::temp_directory_path(), "test") {}
-  SpillManager spill_;
-};
-
-TEST_F(SpillManagerTest, SpillLoadRoundTrip) {
-  common::ByteBuffer buf;
-  Writer w(&buf);
-  w.WriteString("payload");
-  w.WriteU64(99);
-  const auto id = spill_.Spill(buf);
-  common::ByteBuffer loaded = spill_.LoadAndRemove(id);
-  Reader r(&loaded);
-  EXPECT_EQ(r.ReadString(), "payload");
-  EXPECT_EQ(r.ReadU64(), 99u);
-}
-
-TEST_F(SpillManagerTest, StatsTrackBytes) {
-  common::ByteBuffer buf;
-  buf.bytes().resize(1000, 0x5a);
-  const auto id1 = spill_.Spill(buf);
-  const auto id2 = spill_.Spill(buf);
-  auto stats = spill_.Stats();
-  EXPECT_EQ(stats.spilled_bytes, 2000u);
-  EXPECT_EQ(stats.live_files, 2u);
-  spill_.LoadAndRemove(id1);
-  spill_.Remove(id2);
-  stats = spill_.Stats();
-  EXPECT_EQ(stats.loaded_bytes, 1000u);
-  EXPECT_EQ(stats.live_files, 0u);
-  EXPECT_EQ(stats.live_file_bytes, 0u);
-}
-
-TEST_F(SpillManagerTest, LoadUnknownIdThrows) {
-  EXPECT_THROW(spill_.LoadAndRemove(12345), std::runtime_error);
-}
-
-TEST_F(SpillManagerTest, LoadedFileIsRemovedFromDisk) {
-  common::ByteBuffer buf;
-  buf.bytes().resize(10, 1);
-  const auto id = spill_.Spill(buf);
-  spill_.LoadAndRemove(id);
-  EXPECT_THROW(spill_.LoadAndRemove(id), std::runtime_error);
-}
-
-TEST(SpillManagerLifetimeTest, DirectoryRemovedOnDestruction) {
-  std::filesystem::path dir;
-  {
-    SpillManager spill(std::filesystem::temp_directory_path(), "lifetime");
-    dir = spill.directory();
-    EXPECT_TRUE(std::filesystem::exists(dir));
-  }
-  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //
 //   trace_dump <file.trace.json>            per-event-name counts + span
 //   trace_dump --timeline <file.trace.json> chronological listing
-//   trace_dump --io <file.trace.json>       async spill I/O view: queue depth
+//   trace_dump --io <file.trace.json>       spill I/O view: queue depth
 //                                           over time, cancelled writes, and
 //                                           per-node compression ratios
 //   trace_dump --demo [out.trace.json]      run a small traced WC job and
@@ -41,7 +41,7 @@ const char* LoadSourceName(std::uint32_t source) {
   }
 }
 
-// Per-node rollup of the async spill engine's events.
+// Per-node rollup of the spill store's I/O events.
 struct IoNodeStats {
   std::uint64_t cancelled = 0;
   std::uint64_t cancelled_bytes = 0;
