@@ -71,10 +71,8 @@ int main() {
   for (const Row& row : rows) {
     cluster::Cluster cl(bench::PaperCluster(row.heap, /*num_nodes=*/4));
     const apps::AppResult r = apps::RunHadoopProblem(row.name, cl, row.config, apps::Mode::kITask);
-    // The breakdown columns are the obs registry counters
-    // (irs.released_*_bytes / irs.parked_intermediate_bytes /
-    // irs.lazy_serialized_bytes), summed over nodes; GCp95 comes from the
-    // merged gc.pause_ns histogram.
+    // The breakdown columns are the per-node staged-release counters summed
+    // over nodes; GCp95 comes from the merged GC-pause histogram.
     char gc_p95[32];
     std::snprintf(gc_p95, sizeof(gc_p95), "%.2fms", r.metrics.gc_pause_hist.Quantile(0.95) / 1e6);
     table.AddRow({row.name, bench::StatusOf(r.metrics),

@@ -92,9 +92,8 @@ inline std::string SizeLabel(const std::string& app, std::size_t size_index) {
 // Appends one data point to the bench's JSON-lines file so sweeps can be
 // collected and plotted. The file is <bench>.bench.jsonl in the working
 // directory (truncated on the harness's first row), or the path named by
-// ITASK_BENCH_JSON. Rows carry the spill store's I/O counters —
-// spill/load bytes, read-stall time, compression ratio — next to the
-// headline numbers.
+// ITASK_BENCH_JSON. Each row labels the point and carries every RunMetrics
+// field (RunMetrics::AppendJson).
 inline void AppendBenchJsonRow(const std::string& bench, const std::string& app,
                                const std::string& label, const std::string& version,
                                const common::RunMetrics& m) {
@@ -108,27 +107,10 @@ inline void AppendBenchJsonRow(const std::string& bench, const std::string& app,
       return;
     }
   }
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"bench\":\"%s\",\"app\":\"%s\",\"label\":\"%s\",\"version\":\"%s\","
-      "\"status\":\"%s\",\"wall_ms\":%.3f,\"gc_ms\":%.3f,\"peak_heap_bytes\":%llu,"
-      "\"spilled_bytes\":%llu,\"loaded_bytes\":%llu,"
-      "\"io_cancelled_writes\":%llu,\"io_cancelled_write_bytes\":%llu,"
-      "\"io_raw_bytes\":%llu,\"io_framed_bytes\":%llu,"
-      "\"io_compression_ratio\":%.4f,\"io_read_stall_ms\":%.3f,"
-      "\"io_read_stall_p50_ms\":%.4f,\"io_read_stall_p95_ms\":%.4f}",
-      bench.c_str(), app.c_str(), label.c_str(), version.c_str(), StatusOf(m).c_str(),
-      m.wall_ms, m.gc_ms, static_cast<unsigned long long>(m.peak_heap_bytes),
-      static_cast<unsigned long long>(m.spilled_bytes),
-      static_cast<unsigned long long>(m.loaded_bytes),
-      static_cast<unsigned long long>(m.io_cancelled_writes),
-      static_cast<unsigned long long>(m.io_cancelled_write_bytes),
-      static_cast<unsigned long long>(m.io_raw_bytes),
-      static_cast<unsigned long long>(m.io_framed_bytes), m.IoCompressionRatio(),
-      m.io_read_stall_ms, m.io_read_stall_hist.Quantile(0.50) / 1e6,
-      m.io_read_stall_hist.Quantile(0.95) / 1e6);
-  out << buf << "\n";
+  std::string row = "{\"bench\":\"" + bench + "\",\"app\":\"" + app + "\",\"label\":\"" + label +
+                    "\",\"version\":\"" + version + "\",\"status\":\"" + StatusOf(m) + "\",";
+  m.AppendJson(&row);
+  out << row << "}\n";
   out.flush();
 }
 

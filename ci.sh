@@ -2,14 +2,15 @@
 # CI entry point: tier-1 verify (full build + ctest), an ASan/UBSan build of
 # the concurrency-sensitive test suites (obs tracer, spill store I/O, IRS
 # core/runtime, recovery ledger, migration, chaos), a ThreadSanitizer pass
-# over the same layers plus the shuffle fabric and the property suite, a
-# chaos-smoke sweep of the schedule fuzzer (tools/chaos_run) including a
-# skewed-heap migration slice, a multi-process telemetry smoke (merged
-# cross-process trace must pair ctrl/shuffle/migration flows), a multi-tenant
-# job-service smoke under TSan, release-mode bench smoke runs at a tiny scale (the
-# jobsvc, net and migration benches are each gated on their JSON artifacts),
-# and the overall perf gate diffing BENCH_overall.json against the committed
-# baseline.
+# over the same layers plus the shuffle fabric, the ctrl plane and the
+# property suite, a chaos-smoke sweep of the schedule fuzzer
+# (tools/chaos_run) including a skewed-heap migration slice, a multi-process
+# telemetry smoke (merged cross-process trace must pair ctrl/shuffle/migration
+# flows), a multi-tenant job-service smoke under TSan, release-mode bench
+# smoke runs at a tiny scale (the jobsvc, net and migration benches are each
+# gated on their JSON artifacts), the overall perf gate diffing
+# BENCH_overall.json against the committed baseline, and the perfbench smoke
+# (every BENCHMARK.json workload at 1/4 size, metric names and units checked).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -46,10 +47,11 @@ for t in itask_core_test irs_runtime_test partition_test io_test recovery_test \
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"
 done
 # The pipelined shuffle commit runs the ledger on worker, coordinator and
-# transport threads at once (DESIGN.md §11, §13).
-echo "--- net_test ShuffleFabric + TransportParityTest (tsan) ---"
+# transport threads at once (DESIGN.md §11, §13); the ctrl plane's per-peer
+# readers race socket drops, session resumes and shutdown (DESIGN.md §15).
+echo "--- net_test ShuffleFabric + TransportParityTest + CtrlPlane (tsan) ---"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_test \
-  --gtest_filter='ShuffleFabric.*:TransportParityTest.*'
+  --gtest_filter='ShuffleFabric.*:TransportParityTest.*:CtrlPlane.*'
 
 echo "=== tier 4: chaos smoke (schedule-fuzzed WordCount sweep) ==="
 cmake --build build -j --target chaos_run
@@ -274,5 +276,12 @@ if ./build/tools/perf_gate BENCH_overall.json /tmp/itask_overall_regressed.json;
   exit 1
 fi
 echo "overall perf gate ok (and the seeded regression was caught)"
+
+echo "=== tier 5f: perfbench smoke (every BENCHMARK.json workload, 1/4 size) ==="
+# Builds perfbench from this checkout and runs each workload once traced and
+# once untraced; every run must be correct and print exactly the metric names
+# and units BENCHMARK.json declares. A change that breaks perfbench's build,
+# a fingerprint or a metric name fails here instead of in the benchmark.
+python3 perfbench/smoke.py
 
 echo "ci.sh: all green"

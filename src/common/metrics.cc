@@ -5,98 +5,46 @@
 
 namespace itask::common {
 
-void RunMetrics::AccumulateNode(const RunMetrics& node) {
-  gc_ms += node.gc_ms;
-  gc_count += node.gc_count;
-  lugc_count += node.lugc_count;
-  peak_heap_bytes = std::max(peak_heap_bytes, node.peak_heap_bytes);
-  interrupts += node.interrupts;
-  ome_interrupts += node.ome_interrupts;
-  reactivations += node.reactivations;
-  victim_requests += node.victim_requests;
-  fence_interrupts += node.fence_interrupts;
-  spilled_bytes += node.spilled_bytes;
-  loaded_bytes += node.loaded_bytes;
-  load_retries += node.load_retries;
-  released_processed_input_bytes += node.released_processed_input_bytes;
-  released_final_result_bytes += node.released_final_result_bytes;
-  parked_intermediate_bytes += node.parked_intermediate_bytes;
-  lazy_serialized_bytes += node.lazy_serialized_bytes;
-  io_cancelled_writes += node.io_cancelled_writes;
-  io_cancelled_write_bytes += node.io_cancelled_write_bytes;
-  io_raw_bytes += node.io_raw_bytes;
-  io_framed_bytes += node.io_framed_bytes;
-  io_read_stall_ms += node.io_read_stall_ms;
-  nodes_failed += node.nodes_failed;
-  nodes_draining += node.nodes_draining;
-  splits_reexecuted += node.splits_reexecuted;
-  shuffle_retries += node.shuffle_retries;
-  shuffle_redeliveries += node.shuffle_redeliveries;
-  duplicate_tuples_dropped += node.duplicate_tuples_dropped;
-  gc_pause_hist.Merge(node.gc_pause_hist);
-  interrupt_latency_hist.Merge(node.interrupt_latency_hist);
-  io_read_stall_hist.Merge(node.io_read_stall_hist);
-  out_of_memory = out_of_memory || node.out_of_memory;
+namespace {
+
+void AppendJsonValue(std::string* out, bool v) { *out += v ? "true" : "false"; }
+
+void AppendJsonValue(std::string* out, std::uint64_t v) { *out += std::to_string(v); }
+
+void AppendJsonValue(std::string* out, double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.3f", v);
+  *out += buf;
 }
 
-void RunMetrics::MergeCluster(const RunMetrics& other) {
-  // Success semantics: an empty rollup (no job folded yet) starts succeeded so
-  // the AND below reduces to the first input; callers seed `succeeded = true`
-  // on a default-constructed rollup before the first fold.
-  succeeded = succeeded && other.succeeded;
-  out_of_memory = out_of_memory || other.out_of_memory;
-  wall_ms = std::max(wall_ms, other.wall_ms);
-  gc_ms += other.gc_ms;
-  gc_count += other.gc_count;
-  lugc_count += other.lugc_count;
-  peak_heap_bytes = std::max(peak_heap_bytes, other.peak_heap_bytes);
-  interrupts += other.interrupts;
-  ome_interrupts += other.ome_interrupts;
-  reactivations += other.reactivations;
-  victim_requests += other.victim_requests;
-  fence_interrupts += other.fence_interrupts;
-  spilled_bytes += other.spilled_bytes;
-  loaded_bytes += other.loaded_bytes;
-  load_retries += other.load_retries;
-  released_processed_input_bytes += other.released_processed_input_bytes;
-  released_final_result_bytes += other.released_final_result_bytes;
-  parked_intermediate_bytes += other.parked_intermediate_bytes;
-  lazy_serialized_bytes += other.lazy_serialized_bytes;
-  io_cancelled_writes += other.io_cancelled_writes;
-  io_cancelled_write_bytes += other.io_cancelled_write_bytes;
-  io_raw_bytes += other.io_raw_bytes;
-  io_framed_bytes += other.io_framed_bytes;
-  io_read_stall_ms += other.io_read_stall_ms;
-  net_msgs_sent += other.net_msgs_sent;
-  net_frames_sent += other.net_frames_sent;
-  net_bytes_sent += other.net_bytes_sent;
-  net_send_stalls += other.net_send_stalls;
-  net_stall_ms += other.net_stall_ms;
-  net_send_retries += other.net_send_retries;
-  net_ack_timeouts += other.net_ack_timeouts;
-  net_dup_payloads_dropped += other.net_dup_payloads_dropped;
-  net_heartbeats_sent += other.net_heartbeats_sent;
-  net_queue_depth_hist.Merge(other.net_queue_depth_hist);
-  nodes_failed += other.nodes_failed;
-  nodes_draining += other.nodes_draining;
-  splits_reexecuted += other.splits_reexecuted;
-  shuffle_retries += other.shuffle_retries;
-  shuffle_redeliveries += other.shuffle_redeliveries;
-  duplicate_tuples_dropped += other.duplicate_tuples_dropped;
-  partitions_migrated += other.partitions_migrated;
-  migrated_bytes += other.migrated_bytes;
-  migrations_rejected += other.migrations_rejected;
-  net_faults_injected += other.net_faults_injected;
-  ctrl_reconnects += other.ctrl_reconnects;
-  partitions_healed += other.partitions_healed;
-  backoff_retries += other.backoff_retries;
-  backoff_giveups += other.backoff_giveups;
-  events_dropped += other.events_dropped;
-  result_records += other.result_records;
-  result_checksum ^= other.result_checksum;
-  gc_pause_hist.Merge(other.gc_pause_hist);
-  interrupt_latency_hist.Merge(other.interrupt_latency_hist);
-  io_read_stall_hist.Merge(other.io_read_stall_hist);
+void AppendJsonValue(std::string* out, const obs::HistogramSnapshot& h) {
+  char buf[224];
+  std::snprintf(buf, sizeof(buf),
+                "{\"count\":%llu,\"sum\":%llu,\"max\":%llu,\"p50\":%.1f,\"p95\":%.1f,"
+                "\"p99\":%.1f}",
+                static_cast<unsigned long long>(h.count), static_cast<unsigned long long>(h.sum),
+                static_cast<unsigned long long>(h.max), h.Quantile(0.50), h.Quantile(0.95),
+                h.Quantile(0.99));
+  *out += buf;
+}
+
+}  // namespace
+
+void RunMetrics::Merge(const RunMetrics& other) {
+  ForEachField([&](const char*, auto field, auto rule) {
+    decltype(rule)::Apply(this->*field, other.*field);
+  });
+}
+
+void RunMetrics::AppendJson(std::string* out) const {
+  bool first = true;
+  ForEachField([&](const char* name, auto field, auto) {
+    *out += first ? "\"" : ",\"";
+    first = false;
+    *out += name;
+    *out += "\":";
+    AppendJsonValue(out, this->*field);
+  });
 }
 
 std::string RunMetrics::Summary() const {

@@ -34,9 +34,6 @@ bool RegularHarness::RunStage(int threads, const std::function<void(int, int)>& 
 
 common::RunMetrics RegularHarness::Finish() {
   common::RunMetrics m;
-  m.wall_ms = watch_.ElapsedMs();
-  m.out_of_memory = aborted();
-  m.succeeded = !aborted();
   for (int i = 0; i < cluster_.size(); ++i) {
     const memsim::HeapStats heap = cluster_.node(i).heap().Stats();
     common::RunMetrics node;
@@ -47,8 +44,12 @@ common::RunMetrics RegularHarness::Finish() {
     const serde::SpillStats spill = cluster_.node(i).spill().Stats();
     node.spilled_bytes = spill.spilled_bytes;
     node.loaded_bytes = spill.loaded_bytes;
-    m.AccumulateNode(node);
+    m.Merge(node);
   }
+  // Job-wide fields go in after the fold (common/metrics.h).
+  m.wall_ms = watch_.ElapsedMs();
+  m.out_of_memory = aborted();
+  m.succeeded = !aborted();
   return m;
 }
 

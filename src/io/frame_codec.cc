@@ -32,43 +32,6 @@ std::uint64_t ReadVarint(const std::uint8_t* data, std::size_t size, std::size_t
   }
 }
 
-// RLE-compresses |raw| into |out| (appended). Returns false (leaving |out|
-// untouched beyond what was appended — caller clears) as soon as the encoding
-// reaches |budget| bytes, i.e. compression is not winning.
-bool RleCompress(const std::uint8_t* raw, std::size_t n, std::size_t budget,
-                 std::vector<std::uint8_t>& out) {
-  std::size_t i = 0;
-  std::size_t literal_start = 0;
-  const auto flush_literal = [&](std::size_t end) {
-    if (end == literal_start) {
-      return;
-    }
-    const std::size_t len = end - literal_start;
-    AppendVarint(out, static_cast<std::uint64_t>(len) << 1);  // is_run = 0.
-    out.insert(out.end(), raw + literal_start, raw + end);
-  };
-  while (i < n) {
-    std::size_t run = 1;
-    while (i + run < n && raw[i + run] == raw[i]) {
-      ++run;
-    }
-    if (run >= FrameCodec::kMinRun) {
-      flush_literal(i);
-      AppendVarint(out, (static_cast<std::uint64_t>(run) << 1) | 1);  // is_run = 1.
-      out.push_back(raw[i]);
-      i += run;
-      literal_start = i;
-    } else {
-      i += run;
-    }
-    if (out.size() + (i - literal_start) >= budget) {
-      return false;
-    }
-  }
-  flush_literal(n);
-  return out.size() < budget;
-}
-
 }  // namespace
 
 std::uint64_t FrameCodec::Checksum(const std::uint8_t* data, std::size_t n) {
@@ -79,44 +42,27 @@ std::uint64_t FrameCodec::Checksum(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
-FrameInfo FrameCodec::Encode(const common::ByteBuffer& raw, common::ByteBuffer* out,
-                             bool compression) {
+FrameInfo FrameCodec::Encode(const common::ByteBuffer& raw, common::ByteBuffer* out) {
   const std::uint8_t* data = raw.data();
   const std::size_t n = raw.size();
   const std::uint64_t checksum = Checksum(data, n);
 
-  std::vector<std::uint8_t> payload;
-  std::uint8_t flags = kFlagRaw;
-  if (compression && n >= kMinRun) {
-    payload.reserve(n / 2 + 16);
-    if (RleCompress(data, n, /*budget=*/n, payload)) {
-      flags = kFlagRle;
-    } else {
-      payload.clear();
-    }
-  }
-
   std::vector<std::uint8_t> frame;
-  frame.reserve((flags == kFlagRle ? payload.size() : n) + 24);
+  frame.reserve(n + 24);
   frame.push_back(kMagic0);
   frame.push_back(kMagic1);
   frame.push_back(kVersion);
-  frame.push_back(flags);
-  AppendVarint(frame, n);
-  AppendVarint(frame, flags == kFlagRle ? payload.size() : n);
+  frame.push_back(kFlagRaw);
+  AppendVarint(frame, n);  // Raw size.
+  AppendVarint(frame, n);  // Payload size: the same, as the payload is verbatim.
   for (int shift = 0; shift < 64; shift += 8) {
     frame.push_back(static_cast<std::uint8_t>(checksum >> shift));
   }
-  if (flags == kFlagRle) {
-    frame.insert(frame.end(), payload.begin(), payload.end());
-  } else {
-    frame.insert(frame.end(), data, data + n);
-  }
+  frame.insert(frame.end(), data, data + n);
 
   FrameInfo info;
   info.raw_bytes = n;
   info.framed_bytes = frame.size();
-  info.compressed = flags == kFlagRle;
   *out = common::ByteBuffer(std::move(frame));
   return info;
 }
@@ -130,8 +76,7 @@ FrameInfo FrameCodec::Decode(const common::ByteBuffer& framed, common::ByteBuffe
   if (data[2] != kVersion) {
     throw std::runtime_error("FrameCodec: unsupported version " + std::to_string(data[2]));
   }
-  const std::uint8_t flags = data[3];
-  if (flags != kFlagRaw && flags != kFlagRle) {
+  if (data[3] != kFlagRaw) {
     throw std::runtime_error("FrameCodec: unknown flags");
   }
   std::size_t pos = 4;
@@ -147,47 +92,17 @@ FrameInfo FrameCodec::Decode(const common::ByteBuffer& framed, common::ByteBuffe
   if (pos + payload_size != size) {
     throw std::runtime_error("FrameCodec: payload size mismatch");
   }
-
-  std::vector<std::uint8_t> raw;
-  raw.reserve(raw_size);
-  if (flags == kFlagRaw) {
-    if (payload_size != raw_size) {
-      throw std::runtime_error("FrameCodec: raw frame size mismatch");
-    }
-    raw.assign(data + pos, data + size);
-  } else {
-    while (pos < size) {
-      const std::uint64_t token = ReadVarint(data, size, &pos);
-      const std::uint64_t len = token >> 1;
-      if (raw.size() + len > raw_size) {
-        throw std::runtime_error("FrameCodec: run overflows declared size");
-      }
-      if (token & 1) {
-        if (pos >= size) {
-          throw std::runtime_error("FrameCodec: truncated run");
-        }
-        raw.insert(raw.end(), static_cast<std::size_t>(len), data[pos++]);
-      } else {
-        if (pos + len > size) {
-          throw std::runtime_error("FrameCodec: truncated literal");
-        }
-        raw.insert(raw.end(), data + pos, data + pos + len);
-        pos += len;
-      }
-    }
-    if (raw.size() != raw_size) {
-      throw std::runtime_error("FrameCodec: decoded size mismatch");
-    }
+  if (payload_size != raw_size) {
+    throw std::runtime_error("FrameCodec: raw frame size mismatch");
   }
-  if (Checksum(raw.data(), raw.size()) != checksum) {
+  if (Checksum(data + pos, payload_size) != checksum) {
     throw std::runtime_error("FrameCodec: checksum mismatch");
   }
 
   FrameInfo info;
-  info.raw_bytes = raw.size();
+  info.raw_bytes = payload_size;
   info.framed_bytes = size;
-  info.compressed = flags == kFlagRle;
-  *out = common::ByteBuffer(std::move(raw));
+  *out = common::ByteBuffer(std::vector<std::uint8_t>(data + pos, data + size));
   return info;
 }
 

@@ -3,15 +3,9 @@
 // A frame wraps one serialized partition payload with a fixed header — magic,
 // version, flags, varint raw/payload sizes and an FNV-1a checksum of the raw
 // bytes — so a truncated, bit-flipped or mis-framed file is detected at load
-// time instead of deserializing garbage into a partition.
-//
-// Compression is a byte-level RLE tuned for serialized partition data (zero
-// padding, repeated varint prefixes, character runs in text workloads):
-// tokens are varint-encoded as (len << 1) | is_run — a run token repeats the
-// next byte `len` times, a literal token copies the next `len` bytes. Runs
-// shorter than kMinRun bytes stay literal. When RLE does not win, the frame
-// stores the raw bytes verbatim (flag kFlagRaw), so Encode never expands a
-// block by more than the ~20-byte header. No external dependencies.
+// time instead of deserializing garbage into a partition. The payload is
+// stored verbatim; the only valid flags byte is kFlagRaw. No external
+// dependencies.
 #ifndef ITASK_IO_FRAME_CODEC_H_
 #define ITASK_IO_FRAME_CODEC_H_
 
@@ -22,9 +16,8 @@
 namespace itask::io {
 
 struct FrameInfo {
-  std::uint64_t raw_bytes = 0;      // Payload size before framing.
-  std::uint64_t framed_bytes = 0;   // On-disk size (header + payload).
-  bool compressed = false;          // RLE won over verbatim storage.
+  std::uint64_t raw_bytes = 0;     // Payload size before framing.
+  std::uint64_t framed_bytes = 0;  // On-disk size (header + payload).
 };
 
 class FrameCodec {
@@ -33,17 +26,13 @@ class FrameCodec {
   static constexpr std::uint8_t kMagic1 = 0x1C;
   static constexpr std::uint8_t kVersion = 1;
   static constexpr std::uint8_t kFlagRaw = 0x0;  // Payload stored verbatim.
-  static constexpr std::uint8_t kFlagRle = 0x1;  // Payload is RLE-compressed.
-  static constexpr std::size_t kMinRun = 4;      // Shorter runs stay literal.
 
-  // Frames |raw| into |out| (overwritten). |compression| == false forces a
-  // verbatim frame (checksum and framing still apply). Returns frame sizes
-  // for the caller's compression-ratio accounting.
-  static FrameInfo Encode(const common::ByteBuffer& raw, common::ByteBuffer* out,
-                          bool compression = true);
+  // Frames |raw| into |out| (overwritten). Returns the frame sizes for the
+  // caller's raw/framed byte accounting.
+  static FrameInfo Encode(const common::ByteBuffer& raw, common::ByteBuffer* out);
 
   // Unframes |framed| into |out| (overwritten). Throws std::runtime_error on
-  // bad magic/version, malformed tokens, size mismatch or checksum mismatch.
+  // bad magic/version, unknown flags, size mismatch or checksum mismatch.
   static FrameInfo Decode(const common::ByteBuffer& framed, common::ByteBuffer* out);
 
   // FNV-1a 64 over the raw payload, the end-to-end integrity check.

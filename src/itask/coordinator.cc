@@ -171,7 +171,7 @@ bool JobCoordinator::DetectFailures() {
 common::RunMetrics JobCoordinator::AggregateMetrics() const {
   common::RunMetrics total;
   for (const IrsRuntime* runtime : runtimes_) {
-    total.AccumulateNode(runtime->NodeMetrics());
+    total.Merge(runtime->NodeMetrics());
   }
   total.wall_ms = wall_ms_;
   total.succeeded = !aborted_;

@@ -1,6 +1,7 @@
 #include "itask/partition_manager.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -11,14 +12,12 @@
 namespace itask::core {
 
 PartitionManager::PartitionManager(IrsRuntime* runtime, std::chrono::milliseconds thrash_window)
-    : runtime_(runtime),
-      thrash_window_(thrash_window),
-      lazy_serialized_(&runtime->metrics().counter("irs.lazy_serialized_bytes")) {}
+    : runtime_(runtime), thrash_window_(thrash_window) {}
 
 std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
   CHAOS_POINT("pm.spill_step");
-  std::vector<PartitionPtr> candidates = runtime_->queue().ResidentSnapshot();
-  if (candidates.empty()) {
+  const std::vector<PartitionPtr> snapshot = runtime_->queue().ResidentSnapshot();
+  if (snapshot.empty()) {
     return 0;
   }
   const auto now = std::chrono::steady_clock::now();
@@ -31,14 +30,25 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     const TaskSpec* consumer = graph.ConsumerOf(dp->type());
     return consumer != nullptr ? consumer->finish_distance : 0;
   };
+  // The sort keys are read once: workers change payload sizes and load
+  // times concurrently, and a comparator whose answers change mid-sort makes
+  // std::stable_sort read past its buffer.
+  struct Candidate {
+    PartitionPtr dp;
+    int distance;
+    std::uint64_t bytes;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(snapshot.size());
+  for (const PartitionPtr& dp : snapshot) {
+    candidates.push_back({dp, distance_of(dp), dp->PayloadBytes()});
+  }
   std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](const PartitionPtr& a, const PartitionPtr& b) {
-                     const int da = distance_of(a);
-                     const int db = distance_of(b);
-                     if (da != db) {
-                       return da > db;
+                   [](const Candidate& a, const Candidate& b) {
+                     if (a.distance != b.distance) {
+                       return a.distance > b.distance;
                      }
-                     return a->PayloadBytes() > b->PayloadBytes();
+                     return a.bytes > b.bytes;
                    });
 
   obs::Tracer* tracer = runtime_->tracer();
@@ -79,8 +89,9 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
   };
 
   std::uint64_t freed = 0;
-  std::vector<PartitionPtr> recently_loaded;
-  for (const PartitionPtr& dp : candidates) {
+  std::vector<std::pair<std::chrono::steady_clock::time_point, PartitionPtr>> recently_loaded;
+  for (const Candidate& candidate : candidates) {
+    const PartitionPtr& dp = candidate.dp;
     if (freed >= bytes_goal) {
       break;
     }
@@ -94,12 +105,13 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     // round trip, so the cooldown's rationale does not apply to that arm.
     // Interrupted-task remainders re-queued moments ago (the prime migration
     // candidates) become reachable on the first pressure episode this way.
-    if (now - dp->last_load_time() < thrash_window_) {
+    const auto loaded_at = dp->last_load_time();
+    if (now - loaded_at < thrash_window_) {
       const std::uint64_t migrated = TryMigrate(dp);
       if (migrated > 0) {
         freed += migrated;
       } else {
-        recently_loaded.push_back(dp);
+        recently_loaded.emplace_back(loaded_at, dp);
       }
       continue;
     }
@@ -109,10 +121,8 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     // All remaining candidates are recent: spill the oldest-loaded ones
     // anyway (the paper's fallback when no partition has an earlier stamp).
     std::stable_sort(recently_loaded.begin(), recently_loaded.end(),
-                     [](const PartitionPtr& a, const PartitionPtr& b) {
-                       return a->last_load_time() < b->last_load_time();
-                     });
-    for (const PartitionPtr& dp : recently_loaded) {
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [loaded_at, dp] : recently_loaded) {
       if (freed >= bytes_goal) {
         break;
       }
@@ -122,7 +132,7 @@ std::uint64_t PartitionManager::SpillStep(std::uint64_t bytes_goal) {
     }
   }
   if (freed > 0) {
-    lazy_serialized_->Add(freed);
+    lazy_serialized_.fetch_add(freed, std::memory_order_relaxed);
     tracer->Emit(obs::EventKind::kSignalSerialize, node, bytes_goal, freed);
     LOG_DEBUG() << "PartitionManager spilled " << freed << " bytes (goal " << bytes_goal << ")";
   }
@@ -207,7 +217,7 @@ void PartitionManager::EnsureResident(const PartitionPtr& dp) {
 void PartitionManager::SpillDirect(const PartitionPtr& dp) {
   const std::uint64_t bytes = dp->Spill();
   if (bytes > 0) {
-    lazy_serialized_->Add(bytes);
+    lazy_serialized_.fetch_add(bytes, std::memory_order_relaxed);
     runtime_->tracer()->Emit(obs::EventKind::kPartitionSerialized, runtime_->trace_node(), bytes, 0,
                              static_cast<std::uint32_t>(dp->type()));
   }

@@ -9,11 +9,11 @@
 #ifndef ITASK_ITASK_PARTITION_MANAGER_H_
 #define ITASK_ITASK_PARTITION_MANAGER_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
 #include "itask/partition.h"
-#include "obs/metrics_registry.h"
 
 namespace itask::core {
 
@@ -35,7 +35,9 @@ class PartitionManager {
   // SpillStep). Counts toward lazy serialization.
   void SpillDirect(const PartitionPtr& dp);
 
-  std::uint64_t lazy_serialized_bytes() const { return lazy_serialized_->value(); }
+  std::uint64_t lazy_serialized_bytes() const {
+    return lazy_serialized_.load(std::memory_order_relaxed);
+  }
 
  private:
   // The migrate leg of the three-way keep / spill / migrate decision
@@ -47,7 +49,7 @@ class PartitionManager {
 
   IrsRuntime* runtime_;
   std::chrono::milliseconds thrash_window_;
-  obs::Counter* lazy_serialized_;  // Lives in the runtime's registry.
+  std::atomic<std::uint64_t> lazy_serialized_{0};
 };
 
 }  // namespace itask::core

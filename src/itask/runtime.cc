@@ -26,15 +26,6 @@ IrsRuntime::IrsRuntime(NodeServices services, IrsConfig config, std::shared_ptr<
   if (config_.trace_active) {
     tracer_->set_enabled(true);
   }
-  released_processed_input_ = &metrics_.counter("irs.released_processed_input_bytes");
-  released_final_result_ = &metrics_.counter("irs.released_final_result_bytes");
-  parked_intermediate_ = &metrics_.counter("irs.parked_intermediate_bytes");
-  ome_interrupts_ = &metrics_.counter("irs.ome_interrupts");
-  fence_interrupts_ = &metrics_.counter("irs.fence_interrupts");
-  sink_records_ = &metrics_.counter("irs.sink_records");
-  gc_pause_hist_ = &metrics_.histogram("gc.pause_ns", obs::GcPauseBoundsNs());
-  interrupt_latency_hist_ =
-      &metrics_.histogram("irs.interrupt_latency_ns", obs::InterruptLatencyBoundsNs());
   sink_ = [this](PartitionPtr out) { DefaultSink(out); };
   // The monitor keys off LUGC events from this node's heap (paper §5.2). The
   // same listener feeds the GC-pause histogram and the pressure-transition
@@ -46,7 +37,7 @@ IrsRuntime::IrsRuntime(NodeServices services, IrsConfig config, std::shared_ptr<
     if (stopping_.load(std::memory_order_relaxed)) {
       return;  // A stopping runtime must not latch pressure for the next Start.
     }
-    gc_pause_hist_->Observe(event.pause_ns);
+    gc_pause_hist_.Observe(event.pause_ns);
     if (event.useless) {
       if (!pressure_.exchange(true, std::memory_order_relaxed)) {
         tracer_->Emit(obs::EventKind::kPressureOn, trace_node());
@@ -137,7 +128,7 @@ bool IrsRuntime::ShouldInterrupt(int worker_id) {
     // point. Polled once per safe point, so this may over-count relative to
     // interrupts actually taken; the T3 audit uses it as an upper bound
     // (interrupts <= victim_requests + ome_interrupts + fence_interrupts).
-    fence_interrupts_->Add(1);
+    fence_interrupts_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return pressure_.load(std::memory_order_relaxed) && sched_.ApproveTermination(worker_id);
@@ -336,11 +327,11 @@ void IrsRuntime::CountEmitMetrics(const TaskSpec& spec, const DataPartition& out
   const bool intermediate =
       !spec.route_output && consumer != nullptr && consumer->is_merge;
   if (intermediate) {
-    parked_intermediate_->Add(out.PayloadBytes());
+    parked_intermediate_.fetch_add(out.PayloadBytes(), std::memory_order_relaxed);
     tracer_->Emit(obs::EventKind::kPartitionParked, trace_node(), out.PayloadBytes(), 0,
                   static_cast<std::uint32_t>(out.type()));
   } else {
-    released_final_result_->Add(out.PayloadBytes());
+    released_final_result_.fetch_add(out.PayloadBytes(), std::memory_order_relaxed);
   }
 }
 
@@ -360,7 +351,7 @@ void IrsRuntime::Route(const TaskSpec& spec, PartitionPtr out, bool at_interrupt
 
 void IrsRuntime::NoteOmeInterrupt(const PartitionPtr& dp, std::size_t tuples_processed) {
   CHAOS_POINT("runtime.ome_interrupt");
-  ome_interrupts_->Add(1);
+  ome_interrupts_.fetch_add(1, std::memory_order_relaxed);
   tracer_->Emit(obs::EventKind::kOmeInterrupt, trace_node(), tuples_processed, 0,
                 static_cast<std::uint32_t>(dp->type()));
   // An OME is itself evidence of pressure even if no LUGC fired yet.
@@ -398,7 +389,6 @@ void IrsRuntime::NoteOmeInterrupt(const PartitionPtr& dp, std::size_t tuples_pro
 }
 
 void IrsRuntime::DefaultSink(const PartitionPtr& out) {
-  sink_records_->Add(out->TupleCount());
   out->DropPayload();
 }
 
@@ -566,17 +556,15 @@ common::RunMetrics IrsRuntime::NodeMetrics() const {
   m.reactivations = sched.reactivations;
   m.victim_requests = sched.victim_requests;
 
-  // Staged-release breakdown (Table 2) and distributions come from the obs
-  // registry — the single instrumentation substrate — not hand-summed fields.
-  m.ome_interrupts = ome_interrupts_->value();
-  m.fence_interrupts = fence_interrupts_->value();
-  m.released_processed_input_bytes = released_processed_input_->value();
-  m.released_final_result_bytes = released_final_result_->value();
-  m.parked_intermediate_bytes = parked_intermediate_->value();
-  m.lazy_serialized_bytes = metrics_.CounterValue("irs.lazy_serialized_bytes");
-  m.result_records = sink_records_->value();
-  m.gc_pause_hist = gc_pause_hist_->snapshot();
-  m.interrupt_latency_hist = interrupt_latency_hist_->snapshot();
+  m.interrupt_latency_hist = sched_.interrupt_latency();
+  m.lazy_serialized_bytes = pm_.lazy_serialized_bytes();
+
+  m.ome_interrupts = ome_interrupts_.load(std::memory_order_relaxed);
+  m.fence_interrupts = fence_interrupts_.load(std::memory_order_relaxed);
+  m.released_processed_input_bytes = released_processed_input_.load(std::memory_order_relaxed);
+  m.released_final_result_bytes = released_final_result_.load(std::memory_order_relaxed);
+  m.parked_intermediate_bytes = parked_intermediate_.load(std::memory_order_relaxed);
+  m.gc_pause_hist = gc_pause_hist_.snapshot();
   return m;
 }
 

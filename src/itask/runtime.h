@@ -9,9 +9,11 @@
 //
 // Observability: every runtime emits structured events (signals, interrupts,
 // partition transitions) into an obs::Tracer — the cluster-wide one from
-// NodeServices when present, otherwise a private instance — and maintains an
-// obs::MetricsRegistry holding the staged-release counters and the GC-pause /
-// interrupt-latency histograms that NodeMetrics() reports.
+// NodeServices when present, otherwise a private instance. Each counter that
+// NodeMetrics() reports is a plain member of the component that bumps it:
+// the staged-release counters and the GC-pause histogram here, lazy
+// serialization in the PartitionManager, interrupts and their latency
+// histogram in the Scheduler.
 #ifndef ITASK_ITASK_RUNTIME_H_
 #define ITASK_ITASK_RUNTIME_H_
 
@@ -31,7 +33,7 @@
 #include "itask/task.h"
 #include "itask/task_graph.h"
 #include "memsim/managed_heap.h"
-#include "obs/metrics_registry.h"
+#include "obs/histogram.h"
 #include "obs/tracer.h"
 #include "serde/spill_manager.h"
 
@@ -144,7 +146,7 @@ class IrsRuntime {
   bool ShouldInterrupt(int worker_id);
   void CountTuple(int worker_id) { sched_.CountTuple(worker_id); }
   void NoteProcessedInputReleased(std::uint64_t bytes) {
-    released_processed_input_->Add(bytes);
+    released_processed_input_.fetch_add(bytes, std::memory_order_relaxed);
   }
   void NoteOmeInterrupt(const PartitionPtr& dp, std::size_t tuples_processed);
   NodeServices& services() { return services_; }
@@ -156,7 +158,6 @@ class IrsRuntime {
   // ---- Observability ----
   // Never null: the shared cluster tracer, or this runtime's private one.
   obs::Tracer* tracer() { return tracer_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
   std::uint16_t trace_node() const { return static_cast<std::uint16_t>(services_.node_id); }
 
   // ---- Results ----
@@ -173,19 +174,15 @@ class IrsRuntime {
   IrsConfig config_;
   std::shared_ptr<JobState> state_;
 
-  // Observability substrate. Declared before the scheduler/partition-manager
-  // members so they can cache registry handles during construction.
   std::unique_ptr<obs::Tracer> own_tracer_;  // Fallback when services_.tracer == nullptr.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry metrics_;
-  obs::Counter* released_processed_input_ = nullptr;
-  obs::Counter* released_final_result_ = nullptr;
-  obs::Counter* parked_intermediate_ = nullptr;
-  obs::Counter* ome_interrupts_ = nullptr;
-  obs::Counter* fence_interrupts_ = nullptr;
-  obs::Counter* sink_records_ = nullptr;
-  obs::Histogram* gc_pause_hist_ = nullptr;
-  obs::Histogram* interrupt_latency_hist_ = nullptr;
+  // Table-2 counters and the GC-pause histogram (see NodeMetrics).
+  std::atomic<std::uint64_t> released_processed_input_{0};
+  std::atomic<std::uint64_t> released_final_result_{0};
+  std::atomic<std::uint64_t> parked_intermediate_{0};
+  std::atomic<std::uint64_t> ome_interrupts_{0};
+  std::atomic<std::uint64_t> fence_interrupts_{0};
+  obs::Histogram gc_pause_hist_{obs::GcPauseBoundsNs()};
 
   TaskGraph graph_;
   PartitionQueue queue_;

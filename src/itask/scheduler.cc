@@ -9,10 +9,7 @@
 namespace itask::core {
 
 Scheduler::Scheduler(IrsRuntime* runtime, int max_workers)
-    : runtime_(runtime),
-      max_workers_(max_workers),
-      interrupt_latency_(&runtime->metrics().histogram("irs.interrupt_latency_ns",
-                                                       obs::InterruptLatencyBoundsNs())) {
+    : runtime_(runtime), max_workers_(max_workers) {
   workers_.reserve(static_cast<std::size_t>(max_workers_));
   for (int i = 0; i < max_workers_; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -283,7 +280,7 @@ void Scheduler::WorkerLoop(int id) {
       if (request_ns != 0) {
         const std::uint64_t now = runtime_->tracer()->NowNs();
         latency_ns = now > request_ns ? now - request_ns : 0;
-        interrupt_latency_->Observe(latency_ns);
+        interrupt_latency_.Observe(latency_ns);
       }
       runtime_->tracer()->Emit(obs::EventKind::kTaskInterrupt, runtime_->trace_node(), latency_ns,
                                0, static_cast<std::uint32_t>(spec_id),

@@ -23,7 +23,7 @@
 #include "itask/partition.h"
 #include "itask/types.h"
 #include "obs/event.h"
-#include "obs/metrics_registry.h"
+#include "obs/histogram.h"
 
 namespace itask::core {
 
@@ -78,6 +78,8 @@ class Scheduler {
   void ActiveBySpec(std::array<int, kMaxSpecs>& out) const;
 
   Stats stats() const;
+  // Victim request -> scale-loop exit, for interrupts the monitor requested.
+  obs::HistogramSnapshot interrupt_latency() const { return interrupt_latency_.snapshot(); }
 
  private:
   struct Worker {
@@ -100,7 +102,7 @@ class Scheduler {
 
   IrsRuntime* runtime_;
   const int max_workers_;
-  obs::Histogram* interrupt_latency_;  // Lives in the runtime's registry.
+  obs::Histogram interrupt_latency_{obs::InterruptLatencyBoundsNs()};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -176,9 +175,11 @@ CtrlServer::Peer* CtrlServer::ResumePeer(const Message& join,
     }
     peer = peers_[static_cast<std::size_t>(id)].get();
   }
-  // Retire the old connection first: closing the socket unblocks the old
-  // reader, which must be joined before the slot's socket is reused.
-  peer->sock->Close();
+  // Retire the old connection first: shutting the socket down wakes the old
+  // reader, which must be joined before the slot's socket is replaced (and
+  // the old descriptor closed with it). This thread is the only writer of
+  // peer->sock, so reading it here needs no lock.
+  peer->sock->Shutdown();
   if (peer->reader.joinable()) {
     peer->reader.join();
   }
@@ -217,18 +218,15 @@ CtrlServer::Peer* CtrlServer::ResumePeer(const Message& join,
 }
 
 void CtrlServer::DropPeer(int node) {
-  Peer* peer = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (node < 0 || node >= static_cast<int>(peers_.size())) {
-      return;
-    }
-    peer = peers_[static_cast<std::size_t>(node)].get();
-  }
-  // Closing the socket makes the reader exit, which marks the peer
+  // Shutting the socket down makes the reader exit, which marks the peer
   // disconnected; the slot (and its joinable reader handle) stays behind
-  // for the daemon's session resume.
-  peer->sock->Close();
+  // for the daemon's session resume, which also closes the descriptor.
+  // peer->sock is read under mu_ because ResumePeer swaps it under mu_.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (node < 0 || node >= static_cast<int>(peers_.size())) {
+    return;
+  }
+  peers_[static_cast<std::size_t>(node)]->sock->Shutdown();
 }
 
 void CtrlServer::ReadLoop(Peer* peer) {
@@ -356,11 +354,11 @@ bool CtrlServer::NodeMetrics(int node, common::RunMetrics* out) const {
 common::RunMetrics CtrlServer::ClusterMetrics(int* nodes_reporting) const {
   std::lock_guard<std::mutex> lock(mu_);
   common::RunMetrics rollup;
-  rollup.succeeded = true;  // Identity for the AND in MergeCluster.
+  rollup.succeeded = true;  // Identity for the AND in Merge.
   int reporting = 0;
   for (const auto& peer : peers_) {
     if (peer->has_metrics) {
-      rollup.MergeCluster(peer->metrics);
+      rollup.Merge(peer->metrics);
       ++reporting;
     }
   }
@@ -409,13 +407,19 @@ void CtrlServer::Shutdown() {
   bye.kind = MsgKind::kBye;
   bye.src = kDriverEndpoint;
   for (Peer* p : peers) {
-    if (p->info.connected) {
+    bool connected = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);  // ReadLoop writes it under mu_.
+      connected = p->info.connected;
+    }
+    if (connected) {
       SendTo(*p, bye);
     }
-    p->sock->Close();  // Unblocks the reader's recv().
+    p->sock->Shutdown();  // Wakes the reader's recv().
     if (p->reader.joinable()) {
       p->reader.join();
     }
+    p->sock->Close();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -488,19 +492,24 @@ int CtrlClient::ConnectAndJoin(bool resume) {
     return -1;
   }
   const int id = static_cast<int>(ack.a);
-  if (resume && id != node_id_) {
-    LOG_WARN() << "ctrl: session resume handed back id " << id
-               << " instead of " << node_id_ << "; rejecting";
-    return -1;
-  }
-  node_id_ = id;
-  // The ack carries the server's steady clock at send time; sampling ours at
-  // receipt gives the offset that maps local timestamps onto the driver's
-  // timeline (off by about half the join RTT, which loopback makes
-  // negligible).
-  if (ack.c != 0) {
-    clock_offset_ns_ = static_cast<std::int64_t>(ack.c) -
-                       static_cast<std::int64_t>(NowNs());
+  if (resume) {
+    // The heartbeat and serve threads read node_id_ and the clock offset
+    // without a lock, so a resume only checks them.
+    if (id != node_id_) {
+      LOG_WARN() << "ctrl: session resume handed back id " << id
+                 << " instead of " << node_id_ << "; rejecting";
+      return -1;
+    }
+  } else {
+    node_id_ = id;
+    // The ack carries the server's steady clock at send time; sampling ours
+    // at receipt gives the offset that maps local timestamps onto the
+    // driver's timeline (off by about half the join RTT, which loopback
+    // makes negligible).
+    if (ack.c != 0) {
+      clock_offset_ns_ = static_cast<std::int64_t>(ack.c) -
+                         static_cast<std::int64_t>(NowNs());
+    }
   }
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -525,7 +534,9 @@ bool CtrlClient::EnsureConnected(std::uint64_t failed_gen) {
     return false;  // Never joined; there is no session to resume.
   }
   if (auto sock = CurrentSock()) {
-    sock->Close();  // Wake anything still blocked on the dead socket.
+    // Wake anything still blocked on the dead socket. Its descriptor closes
+    // when the last holder drops the socket, never under a blocked reader.
+    sock->Shutdown();
   }
   common::Backoff backoff(common::BackoffUse::kCtrlReconnect, reconnect_policy_,
                           static_cast<std::uint64_t>(node_id_) + 2);
@@ -599,15 +610,13 @@ void CtrlClient::StartHeartbeats(
   beat_thread_ = std::thread([this, interval_ms, stats = std::move(stats)] {
     // Telemetry ships ride the heartbeat thread on their own (coarser)
     // cadence, so a dead driver tears down both with one failed send.
-    std::uint64_t ship_interval_ns = 250ULL * 1'000'000;
-    if (const char* raw = std::getenv("ITASK_OBS_SHIP_MS");
-        raw != nullptr && *raw != '\0') {
-      char* end = nullptr;
-      const unsigned long long ms = std::strtoull(raw, &end, 10);
-      if (end != raw && ms > 0) {
-        ship_interval_ns = static_cast<std::uint64_t>(ms) * 1'000'000;
-      }
+    // Values below 1 fall back to the default.
+    constexpr int kDefaultShipMs = 250;
+    int ship_ms = common::EnvInt("ITASK_OBS_SHIP_MS", kDefaultShipMs);
+    if (ship_ms < 1) {
+      ship_ms = kDefaultShipMs;
     }
+    const std::uint64_t ship_interval_ns = static_cast<std::uint64_t>(ship_ms) * 1'000'000;
     std::uint64_t last_ship_ns = 0;
     while (!stop_beats_.load(std::memory_order_acquire)) {
       const std::uint64_t gen = conn_gen_.load(std::memory_order_acquire);

@@ -99,7 +99,7 @@ class CtrlServer {
   // Latest kMetrics snapshot shipped by |node|; false if none arrived yet.
   bool NodeMetrics(int node, common::RunMetrics* out) const;
 
-  // Cluster rollup: MergeCluster over the latest snapshot from every peer
+  // Cluster rollup: Merge over the latest snapshot from every peer
   // that shipped one. |nodes_reporting| (optional) says how many that was —
   // callers should treat 0 as "telemetry off", not "cluster idle".
   common::RunMetrics ClusterMetrics(int* nodes_reporting = nullptr) const;

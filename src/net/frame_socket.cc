@@ -59,6 +59,12 @@ FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
   return *this;
 }
 
+void FrameSocket::Shutdown() {
+  if (fd_ >= 0) {
+    ::shutdown(fd_, SHUT_RDWR);
+  }
+}
+
 void FrameSocket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -87,12 +93,12 @@ bool WriteAll(int fd, const std::uint8_t* data, std::size_t n) {
 
 }  // namespace
 
-bool FrameSocket::SendFrame(const common::ByteBuffer& payload, bool compression) {
+bool FrameSocket::SendFrame(const common::ByteBuffer& payload) {
   if (fd_ < 0) {
     return false;
   }
   common::ByteBuffer framed;
-  io::FrameCodec::Encode(payload, &framed, compression);
+  io::FrameCodec::Encode(payload, &framed);
   if (framed.size() > kMaxFrameBytes) {
     LOG_WARN() << "net: refusing to send oversized frame (" << framed.size() << " bytes)";
     return false;
@@ -107,10 +113,9 @@ bool FrameSocket::SendFrame(const common::ByteBuffer& payload, bool compression)
   return true;
 }
 
-bool FrameSocket::EncodeWire(const common::ByteBuffer& payload, bool compression,
-                             std::vector<std::uint8_t>* wire) {
+bool FrameSocket::EncodeWire(const common::ByteBuffer& payload, std::vector<std::uint8_t>* wire) {
   common::ByteBuffer framed;
-  io::FrameCodec::Encode(payload, &framed, compression);
+  io::FrameCodec::Encode(payload, &framed);
   if (framed.size() > kMaxFrameBytes) {
     LOG_WARN() << "net: refusing to encode oversized frame (" << framed.size() << " bytes)";
     return false;

@@ -61,14 +61,13 @@ class FrameSocket {
   // Encodes |payload| as one frame and writes it fully (length prefix +
   // frame). Returns false if the peer is gone (EPIPE/ECONNRESET) or the fd is
   // closed; other I/O errors also report false after logging.
-  bool SendFrame(const common::ByteBuffer& payload, bool compression = false);
+  bool SendFrame(const common::ByteBuffer& payload);
 
   // Produces the exact wire image SendFrame would write (length prefix +
   // checksummed frame) without sending it. The fault engine mutates this
   // image — post-framing, so an injected bit flip is always caught by the
   // frame checksum at the receiver, never decoded as silently-wrong payload.
-  static bool EncodeWire(const common::ByteBuffer& payload, bool compression,
-                         std::vector<std::uint8_t>* wire);
+  static bool EncodeWire(const common::ByteBuffer& payload, std::vector<std::uint8_t>* wire);
 
   // Writes |n| pre-framed wire bytes as-is (EINTR-safe, MSG_NOSIGNAL). Same
   // return contract as SendFrame.
@@ -84,6 +83,11 @@ class FrameSocket {
 
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
+  // Wakes threads blocked in recv/send on this socket (they see EOF or an
+  // error) and leaves the descriptor open, so its number cannot be reused
+  // under them. Safe while other threads use the socket; call Close() only
+  // once they are done (close() alone wakes no blocked recv on Linux).
+  void Shutdown();
   void Close();
 
  private:

@@ -3,10 +3,14 @@
 // A node daemon serializes its live job-level RunMetrics with
 // EncodeRunMetrics and ships it inside a kMetrics message on the heartbeat
 // cadence; the ctrl server decodes and folds the latest snapshot per peer
-// into a cluster rollup with RunMetrics::MergeCluster. Snapshots are
-// absolute (cumulative since job start), not deltas — the server keeps only
-// the newest one per (peer, job), so a lost or reordered ship costs staleness,
+// into a cluster rollup with RunMetrics::Merge. Snapshots are absolute
+// (cumulative since job start), not deltas — the server keeps only the
+// newest one per (peer, job), so a lost or reordered ship costs staleness,
 // never double-counting.
+//
+// The layout is RunMetrics' field list in order (common/metrics.h): bools as
+// one byte, counters as varints, doubles as 8 bytes, histograms as their
+// bounds, bucket counts, count, sum and max.
 //
 // Header-only on purpose: tools that want to peek at shipped metrics (bench
 // harnesses, tests) shouldn't need the whole net library's socket machinery.
@@ -24,11 +28,15 @@
 namespace itask::net {
 
 // Bump on any layout change; decode is strict (same policy as JobSpec).
-inline constexpr std::uint32_t kMetricsWireVersion = 2;
+inline constexpr std::uint32_t kMetricsWireVersion = 3;
 
 namespace metrics_wire_detail {
 
-inline void WriteHist(serde::Writer& w, const obs::HistogramSnapshot& h) {
+inline void Write(serde::Writer& w, bool v) { w.WriteU8(v ? 1 : 0); }
+inline void Write(serde::Writer& w, std::uint64_t v) { w.WriteVarint(v); }
+inline void Write(serde::Writer& w, double v) { w.WriteDouble(v); }
+
+inline void Write(serde::Writer& w, const obs::HistogramSnapshot& h) {
   w.WriteVarint(h.bounds.size());
   for (const std::uint64_t bound : h.bounds) {
     w.WriteVarint(bound);
@@ -42,20 +50,22 @@ inline void WriteHist(serde::Writer& w, const obs::HistogramSnapshot& h) {
   w.WriteVarint(h.max);
 }
 
-inline obs::HistogramSnapshot ReadHist(serde::Reader& r) {
-  obs::HistogramSnapshot h;
-  h.bounds.resize(r.ReadVarint());
-  for (std::uint64_t& bound : h.bounds) {
+inline void Read(serde::Reader& r, bool* v) { *v = r.ReadU8() != 0; }
+inline void Read(serde::Reader& r, std::uint64_t* v) { *v = r.ReadVarint(); }
+inline void Read(serde::Reader& r, double* v) { *v = r.ReadDouble(); }
+
+inline void Read(serde::Reader& r, obs::HistogramSnapshot* h) {
+  h->bounds.resize(r.ReadVarint());
+  for (std::uint64_t& bound : h->bounds) {
     bound = r.ReadVarint();
   }
-  h.counts.resize(r.ReadVarint());
-  for (std::uint64_t& count : h.counts) {
+  h->counts.resize(r.ReadVarint());
+  for (std::uint64_t& count : h->counts) {
     count = r.ReadVarint();
   }
-  h.count = r.ReadVarint();
-  h.sum = r.ReadVarint();
-  h.max = r.ReadVarint();
-  return h;
+  h->count = r.ReadVarint();
+  h->sum = r.ReadVarint();
+  h->max = r.ReadVarint();
 }
 
 }  // namespace metrics_wire_detail
@@ -63,60 +73,8 @@ inline obs::HistogramSnapshot ReadHist(serde::Reader& r) {
 inline void EncodeRunMetrics(const common::RunMetrics& m, common::ByteBuffer* out) {
   serde::Writer w(out);
   w.WriteVarint(kMetricsWireVersion);
-  w.WriteU8(m.succeeded ? 1 : 0);
-  w.WriteU8(m.out_of_memory ? 1 : 0);
-  w.WriteDouble(m.wall_ms);
-  w.WriteDouble(m.gc_ms);
-  w.WriteVarint(m.gc_count);
-  w.WriteVarint(m.lugc_count);
-  w.WriteVarint(m.peak_heap_bytes);
-  w.WriteVarint(m.interrupts);
-  w.WriteVarint(m.ome_interrupts);
-  w.WriteVarint(m.reactivations);
-  w.WriteVarint(m.victim_requests);
-  w.WriteVarint(m.fence_interrupts);
-  w.WriteVarint(m.spilled_bytes);
-  w.WriteVarint(m.loaded_bytes);
-  w.WriteVarint(m.load_retries);
-  w.WriteVarint(m.released_processed_input_bytes);
-  w.WriteVarint(m.released_final_result_bytes);
-  w.WriteVarint(m.parked_intermediate_bytes);
-  w.WriteVarint(m.lazy_serialized_bytes);
-  w.WriteVarint(m.io_cancelled_writes);
-  w.WriteVarint(m.io_cancelled_write_bytes);
-  w.WriteVarint(m.io_raw_bytes);
-  w.WriteVarint(m.io_framed_bytes);
-  w.WriteDouble(m.io_read_stall_ms);
-  w.WriteVarint(m.net_msgs_sent);
-  w.WriteVarint(m.net_frames_sent);
-  w.WriteVarint(m.net_bytes_sent);
-  w.WriteVarint(m.net_send_stalls);
-  w.WriteDouble(m.net_stall_ms);
-  w.WriteVarint(m.net_send_retries);
-  w.WriteVarint(m.net_ack_timeouts);
-  w.WriteVarint(m.net_dup_payloads_dropped);
-  w.WriteVarint(m.net_heartbeats_sent);
-  w.WriteVarint(m.nodes_failed);
-  w.WriteVarint(m.nodes_draining);
-  w.WriteVarint(m.splits_reexecuted);
-  w.WriteVarint(m.shuffle_retries);
-  w.WriteVarint(m.shuffle_redeliveries);
-  w.WriteVarint(m.duplicate_tuples_dropped);
-  w.WriteVarint(m.partitions_migrated);
-  w.WriteVarint(m.migrated_bytes);
-  w.WriteVarint(m.migrations_rejected);
-  w.WriteVarint(m.events_dropped);
-  w.WriteVarint(m.result_checksum);
-  w.WriteVarint(m.result_records);
-  w.WriteVarint(m.net_faults_injected);
-  w.WriteVarint(m.ctrl_reconnects);
-  w.WriteVarint(m.partitions_healed);
-  w.WriteVarint(m.backoff_retries);
-  w.WriteVarint(m.backoff_giveups);
-  metrics_wire_detail::WriteHist(w, m.gc_pause_hist);
-  metrics_wire_detail::WriteHist(w, m.interrupt_latency_hist);
-  metrics_wire_detail::WriteHist(w, m.io_read_stall_hist);
-  metrics_wire_detail::WriteHist(w, m.net_queue_depth_hist);
+  common::RunMetrics::ForEachField(
+      [&](const char*, auto field, auto) { metrics_wire_detail::Write(w, m.*field); });
 }
 
 inline common::RunMetrics DecodeRunMetrics(common::ByteBuffer* buf) {
@@ -126,60 +84,8 @@ inline common::RunMetrics DecodeRunMetrics(common::ByteBuffer* buf) {
     throw std::runtime_error("net: unsupported metrics wire version");
   }
   common::RunMetrics m;
-  m.succeeded = r.ReadU8() != 0;
-  m.out_of_memory = r.ReadU8() != 0;
-  m.wall_ms = r.ReadDouble();
-  m.gc_ms = r.ReadDouble();
-  m.gc_count = r.ReadVarint();
-  m.lugc_count = r.ReadVarint();
-  m.peak_heap_bytes = r.ReadVarint();
-  m.interrupts = r.ReadVarint();
-  m.ome_interrupts = r.ReadVarint();
-  m.reactivations = r.ReadVarint();
-  m.victim_requests = r.ReadVarint();
-  m.fence_interrupts = r.ReadVarint();
-  m.spilled_bytes = r.ReadVarint();
-  m.loaded_bytes = r.ReadVarint();
-  m.load_retries = r.ReadVarint();
-  m.released_processed_input_bytes = r.ReadVarint();
-  m.released_final_result_bytes = r.ReadVarint();
-  m.parked_intermediate_bytes = r.ReadVarint();
-  m.lazy_serialized_bytes = r.ReadVarint();
-  m.io_cancelled_writes = r.ReadVarint();
-  m.io_cancelled_write_bytes = r.ReadVarint();
-  m.io_raw_bytes = r.ReadVarint();
-  m.io_framed_bytes = r.ReadVarint();
-  m.io_read_stall_ms = r.ReadDouble();
-  m.net_msgs_sent = r.ReadVarint();
-  m.net_frames_sent = r.ReadVarint();
-  m.net_bytes_sent = r.ReadVarint();
-  m.net_send_stalls = r.ReadVarint();
-  m.net_stall_ms = r.ReadDouble();
-  m.net_send_retries = r.ReadVarint();
-  m.net_ack_timeouts = r.ReadVarint();
-  m.net_dup_payloads_dropped = r.ReadVarint();
-  m.net_heartbeats_sent = r.ReadVarint();
-  m.nodes_failed = r.ReadVarint();
-  m.nodes_draining = r.ReadVarint();
-  m.splits_reexecuted = r.ReadVarint();
-  m.shuffle_retries = r.ReadVarint();
-  m.shuffle_redeliveries = r.ReadVarint();
-  m.duplicate_tuples_dropped = r.ReadVarint();
-  m.partitions_migrated = r.ReadVarint();
-  m.migrated_bytes = r.ReadVarint();
-  m.migrations_rejected = r.ReadVarint();
-  m.events_dropped = r.ReadVarint();
-  m.result_checksum = r.ReadVarint();
-  m.result_records = r.ReadVarint();
-  m.net_faults_injected = r.ReadVarint();
-  m.ctrl_reconnects = r.ReadVarint();
-  m.partitions_healed = r.ReadVarint();
-  m.backoff_retries = r.ReadVarint();
-  m.backoff_giveups = r.ReadVarint();
-  m.gc_pause_hist = metrics_wire_detail::ReadHist(r);
-  m.interrupt_latency_hist = metrics_wire_detail::ReadHist(r);
-  m.io_read_stall_hist = metrics_wire_detail::ReadHist(r);
-  m.net_queue_depth_hist = metrics_wire_detail::ReadHist(r);
+  common::RunMetrics::ForEachField(
+      [&](const char*, auto field, auto) { metrics_wire_detail::Read(r, &(m.*field)); });
   return m;
 }
 

@@ -68,7 +68,6 @@ NetConfig NetConfigFromEnv(NetConfig base) {
   base.ack_timeout_ms =
       std::max(1, common::EnvInt("ITASK_NET_ACK_TIMEOUT_MS", base.ack_timeout_ms));
   base.flush_us = std::max(1, common::EnvInt("ITASK_NET_FLUSH_US", base.flush_us));
-  base.compression = common::EnvBool("ITASK_NET_COMPRESSION", base.compression);
   base.port = common::EnvInt("ITASK_NET_PORT", base.port);
   base.bind_host = common::EnvString("ITASK_NET_BIND_HOST", base.bind_host);
   base.connect_timeout_ms =
@@ -651,7 +650,7 @@ class SocketTransport final : public Transport {
           ok = true;
         } else if (!faults_) {
           const std::uint64_t before = conn.wire_bytes_sent();
-          ok = conn.SendFrame(payload, config_.compression);
+          ok = conn.SendFrame(payload);
           if (ok) {
             const std::uint64_t frame_bytes = conn.wire_bytes_sent() - before;
             counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
@@ -661,7 +660,7 @@ class SocketTransport final : public Transport {
           }
         } else {
           std::vector<std::uint8_t> wire;
-          if (!FrameSocket::EncodeWire(payload, config_.compression, &wire)) {
+          if (!FrameSocket::EncodeWire(payload, &wire)) {
             ok = false;
           } else if (d.truncate && wire.size() > 1) {
             // Partial write then sever: the receiver holds an incomplete

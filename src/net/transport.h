@@ -61,7 +61,6 @@ struct NetConfig {
   std::size_t queue_cap = 128;          // Per-destination send queue (messages).
   int ack_timeout_ms = 250;             // Fabric-level shuffle ack wait.
   int flush_us = 200;                   // Sender wait granularity when idle.
-  bool compression = false;             // RLE-compress frames on the wire.
   int port = 0;                         // TCP base port; 0 = ephemeral.
   // TCP bind/connect host for cross-host operation; loopback by default.
   std::string bind_host = "127.0.0.1";
@@ -76,7 +75,7 @@ struct NetConfig {
 // Reads the ITASK_NET_* knob family (strict parsing via common/env.h):
 //   ITASK_NET_TRANSPORT   inproc|tcp|uds
 //   ITASK_NET_BATCH_BYTES ITASK_NET_QUEUE_CAP ITASK_NET_ACK_TIMEOUT_MS
-//   ITASK_NET_FLUSH_US    ITASK_NET_COMPRESSION ITASK_NET_PORT
+//   ITASK_NET_FLUSH_US    ITASK_NET_PORT
 //   ITASK_NET_BIND_HOST   ITASK_NET_CONNECT_TIMEOUT_MS
 //   ITASK_NET_FAULT_SPEC  (NetFaultPlan spec string; see net/fault_engine.h)
 //   ITASK_NET_FAULT_SEED  (derive a plan from a bare seed; 0 = off)

@@ -1,5 +1,5 @@
-// Fixed-bucket histograms for the metrics registry (header-only so plain
-// metric structs can embed snapshots without linking the obs library).
+// Fixed-bucket histograms (header-only so plain metric structs can embed
+// snapshots without linking the obs library).
 #ifndef ITASK_OBS_HISTOGRAM_H_
 #define ITASK_OBS_HISTOGRAM_H_
 

@@ -195,9 +195,6 @@ void SpillManager::RunWrite(SpillId id) {
     if (error == nullptr) {
       stats_.raw_bytes += info.raw_bytes;
       stats_.framed_bytes += info.framed_bytes;
-      if (info.compressed) {
-        ++stats_.compressed_blocks;
-      }
     }
   }
   state_cv_.notify_all();

@@ -5,7 +5,7 @@
 // Spill() caches the payload, queues a background write on the store's own
 // io::IoExecutor and returns at once, so the caller's heap charge is released
 // while the bytes drain to disk behind compute. The write frames the payload
-// through io::FrameCodec (checksummed, RLE when it wins) into one file named
+// through io::FrameCodec (checksummed, stored verbatim) into one file named
 // by the spill's id. A pool size of zero runs every write and load inline on
 // the caller's thread with the same semantics.
 //
@@ -66,8 +66,7 @@ struct SpillStats {
   std::uint64_t loads_inflight_wait = 0;    // IoLoadSource::kInflightWait.
   std::uint64_t loads_from_disk = 0;        // IoLoadSource::kDisk (incl. prefetch).
   std::uint64_t raw_bytes = 0;              // Payload bytes framed so far.
-  std::uint64_t framed_bytes = 0;           // On-disk bytes after the codec.
-  std::uint64_t compressed_blocks = 0;      // Frames where RLE won.
+  std::uint64_t framed_bytes = 0;           // On-disk bytes, frame headers included.
   std::uint64_t write_failures = 0;         // Background writes that errored.
   std::uint64_t read_stall_ns = 0;          // Total consumer-visible stall.
   obs::HistogramSnapshot read_stall;        // Per-load stall distribution.

@@ -2,13 +2,17 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "common/backoff.h"
 #include "common/blocking_queue.h"
 #include "common/byte_buffer.h"
 #include "common/env.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/spin.h"
 #include "common/table_printer.h"
@@ -399,6 +403,75 @@ TEST(BackoffTest, PolicyFromEnvOverridesEachKnob) {
       BackoffPolicy::FromEnv("ITASK_TEST_BACKOFF", BackoffPolicy{});
   EXPECT_DOUBLE_EQ(untouched.base_ms, BackoffPolicy{}.base_ms);
   EXPECT_EQ(untouched.max_attempts, BackoffPolicy{}.max_attempts);
+}
+
+// ---- RunMetrics: one field list, one Merge ----
+
+TEST(RunMetricsTest, MergeFoldsEveryFieldByItsRule) {
+  // |big| holds every field above |small|. Merging in both orders must give
+  // the same rule-specific result, which rules out "keep" and "overwrite".
+  RunMetrics big;
+  RunMetrics small;
+  std::uint64_t n = 0;
+  RunMetrics::ForEachField([&](const char*, auto field, auto) {
+    ++n;
+    auto& hi = big.*field;
+    auto& lo = small.*field;
+    using T = std::decay_t<decltype(hi)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      hi = true;
+      lo = false;
+    } else if constexpr (std::is_same_v<T, obs::HistogramSnapshot>) {
+      obs::Histogram a(obs::GcPauseBoundsNs());
+      obs::Histogram b(obs::GcPauseBoundsNs());
+      a.Observe(n * 40'000);
+      a.Observe(n * 90'000);
+      b.Observe(n * 3'000'000);
+      hi = a.snapshot();
+      lo = b.snapshot();
+    } else {
+      hi = static_cast<T>(100 * n + 7);
+      lo = static_cast<T>(n);
+    }
+  });
+  RunMetrics big_then_small = big;
+  big_then_small.Merge(small);
+  RunMetrics small_then_big = small;
+  small_then_big.Merge(big);
+
+  std::set<std::string> rules;
+  RunMetrics::ForEachField([&](const char* name, auto field, auto rule) {
+    using Rule = decltype(rule);
+    rules.insert(typeid(Rule).name());
+    const auto& hi = big.*field;
+    const auto& lo = small.*field;
+    for (const RunMetrics* merged : {&big_then_small, &small_then_big}) {
+      const auto& got = merged->*field;
+      if constexpr (std::is_same_v<Rule, fold::Sum>) {
+        EXPECT_EQ(got, hi + lo) << name;
+      } else if constexpr (std::is_same_v<Rule, fold::Max>) {
+        EXPECT_EQ(got, hi) << name;
+      } else if constexpr (std::is_same_v<Rule, fold::And>) {
+        EXPECT_FALSE(got) << name;
+      } else if constexpr (std::is_same_v<Rule, fold::Or>) {
+        EXPECT_TRUE(got) << name;
+      } else if constexpr (std::is_same_v<Rule, fold::Xor>) {
+        EXPECT_EQ(got, hi ^ lo) << name;
+      } else {
+        static_assert(std::is_same_v<Rule, fold::Hist>);
+        // Bucket-exact: same ladder, per-bucket sums, exact scalars.
+        ASSERT_EQ(got.bounds, hi.bounds) << name;
+        ASSERT_EQ(got.counts.size(), hi.counts.size()) << name;
+        for (std::size_t i = 0; i < got.counts.size(); ++i) {
+          EXPECT_EQ(got.counts[i], hi.counts[i] + lo.counts[i]) << name << " bucket " << i;
+        }
+        EXPECT_EQ(got.count, hi.count + lo.count) << name;
+        EXPECT_EQ(got.sum, hi.sum + lo.sum) << name;
+        EXPECT_EQ(got.max, std::max(hi.max, lo.max)) << name;
+      }
+    }
+  });
+  EXPECT_EQ(rules.size(), 6u);  // Sum, Max, And, Or, Xor and Hist all appear.
 }
 
 }  // namespace

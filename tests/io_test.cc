@@ -28,8 +28,8 @@ common::ByteBuffer RandomBuffer(common::Rng& rng, std::size_t size) {
   return common::ByteBuffer(std::move(data));
 }
 
-// Serialized partitions mix runs (zero padding, repeated prefixes) with
-// incompressible content; this generator produces both.
+// Serialized partitions mix byte runs (zero padding, repeated prefixes) with
+// high-entropy content; this generator produces both.
 common::ByteBuffer RunnyBuffer(common::Rng& rng, std::size_t target) {
   std::vector<std::uint8_t> data;
   data.reserve(target);
@@ -52,6 +52,16 @@ common::ByteBuffer RunnyBuffer(common::Rng& rng, std::size_t target) {
 // ---------------------------------------------------------------------------
 // FrameCodec
 
+// Fixed header bytes of a frame around an |n|-byte payload: magic, version
+// and flags, the raw and payload sizes as varints, and the 8-byte checksum.
+std::size_t FrameHeaderBytes(std::size_t n) {
+  std::size_t varint = 1;
+  for (std::size_t v = n; v >= 0x80; v >>= 7) {
+    ++varint;
+  }
+  return 4 + 2 * varint + 8;
+}
+
 TEST(FrameCodecTest, RoundTripIncompressible) {
   common::Rng rng(42);
   const common::ByteBuffer raw = RandomBuffer(rng, 4096);
@@ -59,9 +69,7 @@ TEST(FrameCodecTest, RoundTripIncompressible) {
   const FrameInfo enc = FrameCodec::Encode(raw, &framed);
   EXPECT_EQ(enc.raw_bytes, raw.size());
   EXPECT_EQ(enc.framed_bytes, framed.size());
-  // Random bytes never compress: verbatim frame, bounded header overhead.
-  EXPECT_FALSE(enc.compressed);
-  EXPECT_LE(framed.size(), raw.size() + 32);
+  EXPECT_EQ(framed.size(), raw.size() + FrameHeaderBytes(raw.size()));
 
   common::ByteBuffer out;
   const FrameInfo dec = FrameCodec::Decode(framed, &out);
@@ -69,7 +77,9 @@ TEST(FrameCodecTest, RoundTripIncompressible) {
   EXPECT_EQ(out.bytes(), raw.bytes());
 }
 
-TEST(FrameCodecTest, RoundTripCompressible) {
+TEST(FrameCodecTest, RunHeavyBufferRoundTripsVerbatim) {
+  // Long byte runs are stored as they are: the frame is the payload plus the
+  // header, byte for byte.
   std::vector<std::uint8_t> data(8192, 0);
   for (std::size_t i = 0; i < data.size(); i += 97) {
     data[i] = static_cast<std::uint8_t>(i);
@@ -77,12 +87,26 @@ TEST(FrameCodecTest, RoundTripCompressible) {
   const common::ByteBuffer raw(std::move(data));
   common::ByteBuffer framed;
   const FrameInfo enc = FrameCodec::Encode(raw, &framed);
-  EXPECT_TRUE(enc.compressed);
-  EXPECT_LT(framed.size(), raw.size() / 2);
+  const std::size_t header = FrameHeaderBytes(raw.size());
+  EXPECT_EQ(enc.framed_bytes, raw.size() + header);
+  ASSERT_EQ(framed.size(), raw.size() + header);
+  EXPECT_TRUE(std::equal(raw.bytes().begin(), raw.bytes().end(),
+                         framed.bytes().begin() + static_cast<std::ptrdiff_t>(header)));
 
   common::ByteBuffer out;
   FrameCodec::Decode(framed, &out);
   EXPECT_EQ(out.bytes(), raw.bytes());
+}
+
+TEST(FrameCodecTest, RejectsUnknownFlags) {
+  // Flag 1 once meant an RLE payload; no encoder writes it any more.
+  const common::ByteBuffer raw(std::vector<std::uint8_t>(4096, 0xAA));
+  common::ByteBuffer framed;
+  FrameCodec::Encode(raw, &framed);
+  ASSERT_EQ(framed.bytes()[3], FrameCodec::kFlagRaw);
+  framed.bytes()[3] = 0x1;
+  common::ByteBuffer out;
+  EXPECT_THROW(FrameCodec::Decode(framed, &out), std::runtime_error);
 }
 
 TEST(FrameCodecTest, RoundTripEmpty) {
@@ -93,17 +117,6 @@ TEST(FrameCodecTest, RoundTripEmpty) {
   common::ByteBuffer out;
   FrameCodec::Decode(framed, &out);
   EXPECT_TRUE(out.bytes().empty());
-}
-
-TEST(FrameCodecTest, CompressionDisabledStoresVerbatim) {
-  const common::ByteBuffer raw(std::vector<std::uint8_t>(4096, 0xAA));
-  common::ByteBuffer framed;
-  const FrameInfo enc = FrameCodec::Encode(raw, &framed, /*compression=*/false);
-  EXPECT_FALSE(enc.compressed);
-  EXPECT_GE(framed.size(), raw.size());
-  common::ByteBuffer out;
-  FrameCodec::Decode(framed, &out);
-  EXPECT_EQ(out.bytes(), raw.bytes());
 }
 
 TEST(FrameCodecTest, DetectsCorruption) {
@@ -146,14 +159,13 @@ TEST(FrameCodecTest, RandomizedRoundTripProperty) {
     const std::size_t size = rng.NextBelow(4096);
     const common::ByteBuffer raw =
         (i % 2 == 0) ? RunnyBuffer(rng, size) : RandomBuffer(rng, size);
-    const bool compression = rng.NextBelow(2) == 0;
     common::ByteBuffer framed;
-    const FrameInfo enc = FrameCodec::Encode(raw, &framed, compression);
+    const FrameInfo enc = FrameCodec::Encode(raw, &framed);
     ASSERT_EQ(enc.raw_bytes, raw.size());
     common::ByteBuffer out;
     const FrameInfo dec = FrameCodec::Decode(framed, &out);
     ASSERT_EQ(dec.raw_bytes, raw.size());
-    ASSERT_EQ(dec.compressed, enc.compressed);
+    ASSERT_EQ(dec.framed_bytes, enc.framed_bytes);
     ASSERT_EQ(out.bytes(), raw.bytes());
   }
 }
@@ -273,10 +285,9 @@ TEST_F(SpillManagerTest, StatsTrackBytes) {
   EXPECT_EQ(stats.spill_count, 2u);
   EXPECT_EQ(stats.live_files, 2u);
   EXPECT_EQ(stats.live_file_bytes, 2000u);
-  // Inline writes frame every block; the RLE codec wins on a single run.
+  // Inline writes frame every block verbatim: a header on top of each payload.
   EXPECT_EQ(stats.raw_bytes, 2000u);
-  EXPECT_LT(stats.framed_bytes, stats.raw_bytes);
-  EXPECT_EQ(stats.compressed_blocks, 2u);
+  EXPECT_GT(stats.framed_bytes, stats.raw_bytes);
   spill_.LoadAndRemove(id1);
   spill_.Remove(id2);
   stats = spill_.Stats();

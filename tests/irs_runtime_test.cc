@@ -109,6 +109,7 @@ class MergeCountsTask : public MITask<CountsPartition> {
 struct WordCountResult {
   std::map<std::string, std::uint64_t> counts;
   common::RunMetrics metrics;
+  common::RunMetrics node_fold;  // Merge over every runtime's NodeMetrics().
   bool ok = false;
 };
 
@@ -179,6 +180,9 @@ WordCountResult RunWordCount(std::uint64_t heap_bytes, std::uint64_t corpus_byte
     }
   });
   result.metrics = job.Metrics();
+  for (int i = 0; i < job.num_nodes(); ++i) {
+    result.node_fold.Merge(job.runtime(i).NodeMetrics());
+  }
   return result;
 }
 
@@ -203,6 +207,37 @@ TEST(IrsWordCountTest, PressuredRunMatchesReference) {
   const auto result = RunWordCount(/*heap=*/600 << 10, /*corpus=*/512 << 10, /*vocab=*/2'000);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.counts, ReferenceCounts(512 << 10, 2'000));
+}
+
+TEST(IrsWordCountTest, NodeRecordsLeaveJobWideFieldsZero) {
+  // One Merge folds nodes into a job and jobs into a rollup only because
+  // per-node records leave every job-wide field for the job to fill.
+  const auto result = RunWordCount(/*heap=*/600 << 10, /*corpus=*/512 << 10, /*vocab=*/2'000);
+  ASSERT_TRUE(result.ok);
+  const common::RunMetrics& nodes = result.node_fold;
+  EXPECT_GT(nodes.gc_count, 0u);
+  EXPECT_EQ(nodes.gc_count, result.metrics.gc_count);
+  EXPECT_EQ(nodes.interrupts, result.metrics.interrupts);
+  EXPECT_EQ(nodes.spilled_bytes, result.metrics.spilled_bytes);
+
+  EXPECT_TRUE(result.metrics.succeeded);
+  EXPECT_FALSE(nodes.succeeded);
+  EXPECT_GT(result.metrics.wall_ms, 0.0);
+  EXPECT_EQ(nodes.wall_ms, 0.0);
+  EXPECT_EQ(nodes.net_stall_ms, 0.0);
+  EXPECT_TRUE(nodes.net_queue_depth_hist.empty());
+  using RM = common::RunMetrics;
+  for (const auto field :
+       {&RM::net_msgs_sent, &RM::net_frames_sent, &RM::net_bytes_sent, &RM::net_send_stalls,
+        &RM::net_send_retries, &RM::net_ack_timeouts, &RM::net_dup_payloads_dropped,
+        &RM::net_heartbeats_sent, &RM::nodes_failed, &RM::nodes_draining,
+        &RM::splits_reexecuted, &RM::shuffle_retries, &RM::shuffle_redeliveries,
+        &RM::duplicate_tuples_dropped, &RM::partitions_migrated, &RM::migrated_bytes,
+        &RM::migrations_rejected, &RM::net_faults_injected, &RM::ctrl_reconnects,
+        &RM::partitions_healed, &RM::backoff_retries, &RM::backoff_giveups,
+        &RM::events_dropped, &RM::result_checksum, &RM::result_records}) {
+    EXPECT_EQ(nodes.*field, 0u);
+  }
 }
 
 TEST(IrsWordCountTest, MetricsArePopulated) {

@@ -19,6 +19,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "apps/hyracks_apps.h"
@@ -54,7 +55,7 @@ common::ByteBuffer MakePayload(std::size_t n, std::uint8_t seed) {
 // One frame's wire bytes: [u32 LE length][FrameCodec frame].
 std::vector<std::uint8_t> WireFrame(const common::ByteBuffer& payload) {
   common::ByteBuffer framed;
-  io::FrameCodec::Encode(payload, &framed, /*compression=*/false);
+  io::FrameCodec::Encode(payload, &framed);
   const auto len = static_cast<std::uint32_t>(framed.size());
   std::vector<std::uint8_t> wire(4 + framed.size());
   wire[0] = static_cast<std::uint8_t>(len & 0xff);
@@ -1083,52 +1084,61 @@ TEST_F(TransportParityTest, KilledNodeOverTcpKeepsFingerprint) {
 
 // ---- Telemetry plane (DESIGN.md §15) ----
 
-TEST(MetricsWire, RunMetricsRoundTripsWithHistograms) {
+// Gives every RunMetrics field its own non-default value: bools true,
+// counters and doubles distinct by list position (counters wide enough for
+// multi-byte varints), histograms distinct observations. A field the codec
+// skips, reorders or truncates then fails to match.
+common::RunMetrics DistinctMetrics() {
   common::RunMetrics m;
-  m.succeeded = true;
-  m.wall_ms = 1234.5;
-  m.gc_ms = 88.25;
-  m.gc_count = 7;
-  m.interrupts = 19;
-  m.spilled_bytes = 9ull << 20;
-  m.net_msgs_sent = 41;
-  m.net_bytes_sent = 5ull << 20;
-  m.partitions_migrated = 3;
-  m.migrated_bytes = 768 << 10;
-  m.events_dropped = 11;
-  obs::Histogram interrupt_hist(obs::InterruptLatencyBoundsNs());
-  obs::Histogram gc_hist(obs::GcPauseBoundsNs());
-  for (int i = 0; i < 150; ++i) {
-    interrupt_hist.Observe(static_cast<std::uint64_t>(2000 + i * 1511));
-    gc_hist.Observe(static_cast<std::uint64_t>(1'000'000 + i * 40'013));
-  }
-  m.interrupt_latency_hist = interrupt_hist.snapshot();
-  m.gc_pause_hist = gc_hist.snapshot();
+  std::uint64_t n = 0;
+  common::RunMetrics::ForEachField([&](const char*, auto field, auto) {
+    ++n;
+    auto& value = m.*field;
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      value = true;
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      value = (n << 20) + n;
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = static_cast<double>(n) + 0.125;
+    } else {
+      obs::Histogram hist(obs::InterruptLatencyBoundsNs());
+      for (std::uint64_t i = 0; i < 50 + n; ++i) {
+        hist.Observe(2000 + i * 1511 * n);
+      }
+      value = hist.snapshot();
+    }
+  });
+  return m;
+}
 
-  common::ByteBuffer wire;
-  EncodeRunMetrics(m, &wire);
-  const common::RunMetrics d = DecodeRunMetrics(&wire);
-  EXPECT_TRUE(d.succeeded);
-  EXPECT_DOUBLE_EQ(d.wall_ms, m.wall_ms);
-  EXPECT_DOUBLE_EQ(d.gc_ms, m.gc_ms);
-  EXPECT_EQ(d.gc_count, m.gc_count);
-  EXPECT_EQ(d.interrupts, m.interrupts);
-  EXPECT_EQ(d.spilled_bytes, m.spilled_bytes);
-  EXPECT_EQ(d.net_msgs_sent, m.net_msgs_sent);
-  EXPECT_EQ(d.net_bytes_sent, m.net_bytes_sent);
-  EXPECT_EQ(d.partitions_migrated, m.partitions_migrated);
-  EXPECT_EQ(d.migrated_bytes, m.migrated_bytes);
-  EXPECT_EQ(d.events_dropped, m.events_dropped);
-  // Histograms survive bucket-exactly, so cluster-side quantiles match the
-  // daemon's own view.
-  EXPECT_EQ(d.interrupt_latency_hist.counts, m.interrupt_latency_hist.counts);
-  EXPECT_EQ(d.interrupt_latency_hist.count, m.interrupt_latency_hist.count);
-  EXPECT_EQ(d.interrupt_latency_hist.sum, m.interrupt_latency_hist.sum);
-  EXPECT_EQ(d.interrupt_latency_hist.max, m.interrupt_latency_hist.max);
-  EXPECT_DOUBLE_EQ(d.interrupt_latency_hist.Quantile(0.99),
-                   m.interrupt_latency_hist.Quantile(0.99));
-  EXPECT_EQ(d.gc_pause_hist.counts, m.gc_pause_hist.counts);
-  EXPECT_DOUBLE_EQ(d.gc_pause_hist.Quantile(0.5), m.gc_pause_hist.Quantile(0.5));
+TEST(MetricsWire, RunMetricsRoundTripsWithHistograms) {
+  // The distinct record catches a skipped or reordered field; the default
+  // one catches a codec that writes a constant.
+  for (const common::RunMetrics& m : {DistinctMetrics(), common::RunMetrics{}}) {
+    common::ByteBuffer wire;
+    EncodeRunMetrics(m, &wire);
+    const common::RunMetrics d = DecodeRunMetrics(&wire);
+    int fields = 0;
+    common::RunMetrics::ForEachField([&](const char* name, auto field, auto) {
+      ++fields;
+      const auto& want = m.*field;
+      const auto& got = d.*field;
+      if constexpr (std::is_same_v<std::decay_t<decltype(got)>, obs::HistogramSnapshot>) {
+        // Histograms survive bucket-exactly, so cluster-side quantiles match
+        // the daemon's own view.
+        EXPECT_EQ(got.bounds, want.bounds) << name;
+        EXPECT_EQ(got.counts, want.counts) << name;
+        EXPECT_EQ(got.count, want.count) << name;
+        EXPECT_EQ(got.sum, want.sum) << name;
+        EXPECT_EQ(got.max, want.max) << name;
+        EXPECT_DOUBLE_EQ(got.Quantile(0.99), want.Quantile(0.99)) << name;
+      } else {
+        EXPECT_EQ(got, want) << name;
+      }
+    });
+    EXPECT_GT(fields, 50);
+  }
 }
 
 TEST_F(TransportParityTest, SpanIdsStableAcrossSeededReruns) {

@@ -1,7 +1,7 @@
-// Tests for the obs subsystem: tracer concurrency and ring semantics, the
-// metrics registry, histogram math, and the Chrome trace_event exporter
-// (including a golden-file check of the exact JSON; regenerate with
-// OBS_TEST_REGEN=1 ./obs_test).
+// Tests for the obs subsystem: tracer concurrency and ring semantics,
+// histogram math, and the Chrome trace_event exporter (including a
+// golden-file check of the exact JSON; regenerate with OBS_TEST_REGEN=1
+// ./obs_test).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "obs/event.h"
 #include "obs/flight_recorder.h"
 #include "obs/histogram.h"
-#include "obs/metrics_registry.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
@@ -125,33 +124,6 @@ TEST(TracerTest, SnapshotMergesThreadsInTimestampOrder) {
   EXPECT_EQ(events[0].kind, EventKind::kSignalGrow);
   EXPECT_EQ(events[1].kind, EventKind::kPressureOn);
   EXPECT_EQ(events[2].kind, EventKind::kSignalReduce);
-}
-
-TEST(MetricsRegistryTest, FindOrCreateAndRead) {
-  MetricsRegistry registry;
-  Counter& c = registry.counter("test.bytes");
-  c.Add(5);
-  registry.counter("test.bytes").Add(7);  // Same instance.
-  EXPECT_EQ(registry.CounterValue("test.bytes"), 12u);
-  EXPECT_EQ(registry.CounterValue("absent"), 0u);
-
-  registry.gauge("test.level").Set(-3);
-  EXPECT_EQ(registry.gauge("test.level").value(), -3);
-
-  Histogram& h = registry.histogram("test.lat", {10, 100, 1000});
-  h.Observe(5);
-  h.Observe(50);
-  h.Observe(5000);
-  const HistogramSnapshot snap = registry.HistogramValue("test.lat");
-  EXPECT_EQ(snap.count, 3u);
-  EXPECT_EQ(snap.max, 5000u);
-  EXPECT_TRUE(registry.HistogramValue("absent").empty());
-
-  std::ostringstream os;
-  registry.Render(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("test.bytes"), std::string::npos);
-  EXPECT_NE(text.find("test.lat"), std::string::npos);
 }
 
 TEST(HistogramTest, QuantilesInterpolateWithinBuckets) {

@@ -59,6 +59,10 @@
 //             [--disconnect-node=I@MS] [--heal-node=I@MS]
 //             [--net-faults=SPEC|SEED]
 //             [--transport=inproc|tcp|uds] [--skew R] [--json]
+//
+// --json prints one object on stdout: the sweep's settings, every RunMetrics
+// field folded over all runs (keys are the field names in common/metrics.h),
+// "per_job" with the same fields per app, "failures" and "ok".
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -351,48 +355,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.records));
   }
 
-  // Per-job Table-2 aggregates across all seeds (staged-release byte classes
-  // plus the interrupt counters), so multi-tenant audits can attribute chaos
-  // findings to the job that produced them instead of one global blob.
-  struct JobCounters {
-    std::uint64_t runs = 0;
-    std::uint64_t interrupts = 0;
-    std::uint64_t ome_interrupts = 0;
-    std::uint64_t victim_requests = 0;
-    std::uint64_t reactivations = 0;
-    std::uint64_t released_processed_input_bytes = 0;
-    std::uint64_t released_final_result_bytes = 0;
-    std::uint64_t parked_intermediate_bytes = 0;
-    std::uint64_t lazy_serialized_bytes = 0;
-    std::uint64_t spilled_bytes = 0;
-    std::uint64_t loaded_bytes = 0;
-    std::uint64_t load_retries = 0;
-    // Three-way SERIALIZE rollup (zero without skewed pressure + recovery).
-    std::uint64_t partitions_migrated = 0;
-    std::uint64_t migrated_bytes = 0;
-    std::uint64_t migrations_rejected = 0;
-    // Transport rollup (all zero on the inproc path).
-    std::uint64_t net_msgs_sent = 0;
-    std::uint64_t net_frames_sent = 0;
-    std::uint64_t net_bytes_sent = 0;
-    std::uint64_t net_send_stalls = 0;
-    double net_stall_ms = 0.0;
-    std::uint64_t net_send_retries = 0;
-    std::uint64_t net_ack_timeouts = 0;
-    std::uint64_t net_dup_payloads_dropped = 0;
-    // Fault-engine / resilience rollup (zero without --net-faults).
-    std::uint64_t net_faults_injected = 0;
-    std::uint64_t partitions_healed = 0;
-    std::uint64_t backoff_retries = 0;
-    std::uint64_t backoff_giveups = 0;
-    // Telemetry-health rollup: tracer ring overwrites (non-zero means the
-    // event stream undercounts) plus the latency distributions, merged
-    // bucket-wise across seeds so the JSON can report cross-run quantiles.
-    std::uint64_t events_dropped = 0;
-    itask::obs::HistogramSnapshot interrupt_hist;
-    itask::obs::HistogramSnapshot gc_hist;
-  };
-  std::map<std::string, JobCounters> per_job;
+  // Per-job rollups across all seeds (Table-2 byte classes, interrupts,
+  // spill, migration, net and resilience counters), so multi-tenant audits
+  // can attribute chaos findings to the job that produced them; |sweep| folds
+  // every run for the JSON report's top-level totals. Both start from a
+  // record that has succeeded = true, the identity for Merge's AND.
+  itask::common::RunMetrics empty;
+  empty.succeeded = true;
+  itask::common::RunMetrics sweep = empty;
+  std::map<std::string, itask::common::RunMetrics> per_job;
 
   std::vector<Failure> failures;
   std::uint64_t runs = 0;
@@ -425,37 +396,8 @@ int main(int argc, char** argv) {
       last_points = fuzzer.points_hit();
       ++runs;
 
-      JobCounters& jc = per_job[app];
-      ++jc.runs;
-      jc.interrupts += result.metrics.interrupts;
-      jc.ome_interrupts += result.metrics.ome_interrupts;
-      jc.victim_requests += result.metrics.victim_requests;
-      jc.reactivations += result.metrics.reactivations;
-      jc.released_processed_input_bytes += result.metrics.released_processed_input_bytes;
-      jc.released_final_result_bytes += result.metrics.released_final_result_bytes;
-      jc.parked_intermediate_bytes += result.metrics.parked_intermediate_bytes;
-      jc.lazy_serialized_bytes += result.metrics.lazy_serialized_bytes;
-      jc.spilled_bytes += result.metrics.spilled_bytes;
-      jc.loaded_bytes += result.metrics.loaded_bytes;
-      jc.load_retries += result.metrics.load_retries;
-      jc.partitions_migrated += result.metrics.partitions_migrated;
-      jc.migrated_bytes += result.metrics.migrated_bytes;
-      jc.migrations_rejected += result.metrics.migrations_rejected;
-      jc.net_msgs_sent += result.metrics.net_msgs_sent;
-      jc.net_frames_sent += result.metrics.net_frames_sent;
-      jc.net_bytes_sent += result.metrics.net_bytes_sent;
-      jc.net_send_stalls += result.metrics.net_send_stalls;
-      jc.net_stall_ms += result.metrics.net_stall_ms;
-      jc.net_send_retries += result.metrics.net_send_retries;
-      jc.net_ack_timeouts += result.metrics.net_ack_timeouts;
-      jc.net_dup_payloads_dropped += result.metrics.net_dup_payloads_dropped;
-      jc.net_faults_injected += result.metrics.net_faults_injected;
-      jc.partitions_healed += result.metrics.partitions_healed;
-      jc.backoff_retries += result.metrics.backoff_retries;
-      jc.backoff_giveups += result.metrics.backoff_giveups;
-      jc.events_dropped += result.metrics.events_dropped;
-      jc.interrupt_hist.Merge(result.metrics.interrupt_latency_hist);
-      jc.gc_hist.Merge(result.metrics.gc_pause_hist);
+      per_job.try_emplace(app, empty).first->second.Merge(result.metrics);
+      sweep.Merge(result.metrics);
 
       std::string what;
       const auto in_path = itask::chaos::DrainViolations();
@@ -510,10 +452,10 @@ int main(int argc, char** argv) {
   // Ctrl-plane resume slice: exercised whenever a network-fault plan is
   // active, so the chaos gate can assert reconnects happened even though the
   // in-process sweep itself has no daemon sockets to sever.
-  std::uint64_t ctrl_reconnects = 0;
   if (opt.net_fault_plan.active()) {
-    ctrl_reconnects = RunCtrlResumeSlice(opt.net_fault_plan);
-    if (ctrl_reconnects == 0) {
+    const std::uint64_t reconnects = RunCtrlResumeSlice(opt.net_fault_plan);
+    sweep.ctrl_reconnects += reconnects;
+    if (reconnects == 0) {
       failures.push_back({0, "ctrl", "ctrl resume slice completed no reconnects"});
     }
   }
@@ -528,70 +470,20 @@ int main(int argc, char** argv) {
            itask::net::TransportKindName(opt.transport) + "\"";
     out += ",\"net_fault_plan\":\"";
     JsonEscape(&out, opt.net_fault_plan.active() ? opt.net_fault_plan.Describe() : "");
-    out += "\"";
-    out += ",\"ctrl_reconnects\":" + std::to_string(ctrl_reconnects);
-    {
-      std::uint64_t faults = 0, healed = 0, retries = 0, giveups = 0;
-      for (const auto& [app, jc] : per_job) {
-        faults += jc.net_faults_injected;
-        healed += jc.partitions_healed;
-        retries += jc.backoff_retries;
-        giveups += jc.backoff_giveups;
-      }
-      out += ",\"net_faults_injected\":" + std::to_string(faults);
-      out += ",\"partitions_healed\":" + std::to_string(healed);
-      out += ",\"backoff_retries\":" + std::to_string(retries);
-      out += ",\"backoff_giveups\":" + std::to_string(giveups);
-    }
+    out += "\",";
+    sweep.AppendJson(&out);
     out += ",\"apps\":[";
     for (std::size_t i = 0; i < opt.apps.size(); ++i) {
       out += (i > 0 ? ",\"" : "\"") + opt.apps[i] + "\"";
     }
     out += "],\"per_job\":{";
     bool first_job = true;
-    for (const auto& [app, jc] : per_job) {
+    for (const auto& [app, job] : per_job) {
       out += first_job ? "\"" : ",\"";
       first_job = false;
       JsonEscape(&out, app);
-      out += "\":{\"runs\":" + std::to_string(jc.runs);
-      out += ",\"interrupts\":" + std::to_string(jc.interrupts);
-      out += ",\"ome_interrupts\":" + std::to_string(jc.ome_interrupts);
-      out += ",\"victim_requests\":" + std::to_string(jc.victim_requests);
-      out += ",\"reactivations\":" + std::to_string(jc.reactivations);
-      out += ",\"released_processed_input_bytes\":" +
-             std::to_string(jc.released_processed_input_bytes);
-      out += ",\"released_final_result_bytes\":" +
-             std::to_string(jc.released_final_result_bytes);
-      out += ",\"parked_intermediate_bytes\":" + std::to_string(jc.parked_intermediate_bytes);
-      out += ",\"lazy_serialized_bytes\":" + std::to_string(jc.lazy_serialized_bytes);
-      out += ",\"spilled_bytes\":" + std::to_string(jc.spilled_bytes);
-      out += ",\"loaded_bytes\":" + std::to_string(jc.loaded_bytes);
-      out += ",\"load_retries\":" + std::to_string(jc.load_retries);
-      out += ",\"partitions_migrated\":" + std::to_string(jc.partitions_migrated);
-      out += ",\"migrated_bytes\":" + std::to_string(jc.migrated_bytes);
-      out += ",\"migrations_rejected\":" + std::to_string(jc.migrations_rejected);
-      out += ",\"events_dropped\":" + std::to_string(jc.events_dropped);
-      {
-        char q[96];
-        std::snprintf(q, sizeof(q),
-                      ",\"interrupt_p99_us\":%.2f,\"gc_p99_us\":%.2f",
-                      jc.interrupt_hist.Quantile(0.99) / 1e3,
-                      jc.gc_hist.Quantile(0.99) / 1e3);
-        out += q;
-      }
-      out += ",\"net\":{\"msgs_sent\":" + std::to_string(jc.net_msgs_sent);
-      out += ",\"frames_sent\":" + std::to_string(jc.net_frames_sent);
-      out += ",\"bytes_sent\":" + std::to_string(jc.net_bytes_sent);
-      out += ",\"send_stalls\":" + std::to_string(jc.net_send_stalls);
-      out += ",\"stall_ms\":" + std::to_string(jc.net_stall_ms);
-      out += ",\"send_retries\":" + std::to_string(jc.net_send_retries);
-      out += ",\"ack_timeouts\":" + std::to_string(jc.net_ack_timeouts);
-      out += ",\"dup_payloads_dropped\":" + std::to_string(jc.net_dup_payloads_dropped);
-      out += ",\"faults_injected\":" + std::to_string(jc.net_faults_injected);
-      out += "}";
-      out += ",\"partitions_healed\":" + std::to_string(jc.partitions_healed);
-      out += ",\"backoff_retries\":" + std::to_string(jc.backoff_retries);
-      out += ",\"backoff_giveups\":" + std::to_string(jc.backoff_giveups);
+      out += "\":{";
+      job.AppendJson(&out);
       out += "}";
     }
     out += "},\"failures\":[";

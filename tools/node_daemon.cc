@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
 
   // Telemetry shipping: the heartbeat thread serializes this daemon's
   // cumulative job metrics onto the ctrl plane. Cumulative — successive jobs
-  // are folded in with MergeCluster — so a dropped ship only stales the
+  // are folded in with Merge — so a dropped ship only stales the
   // driver's view rather than losing a job.
   std::mutex metrics_mu;
   itask::common::RunMetrics shipped_metrics;
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
           shipped_metrics = r.metrics;
           has_metrics = true;
         } else {
-          shipped_metrics.MergeCluster(r.metrics);
+          shipped_metrics.Merge(r.metrics);
         }
       }
       if (!opt.trace_dir.empty()) {
