@@ -60,11 +60,20 @@ cmake --build build -j --target chaos_run
 echo "=== tier 4b: recovery smoke (mid-job node kill + OOM-poisoned node) ==="
 # Each app survives a mid-job node kill and, separately, an OOM-poisoned node,
 # reproducing the fault-free fingerprint with a clean dedup audit. Shrunken
-# detector timeouts keep the sweep fast; see DESIGN.md §11.
+# detector timeouts keep the sweep fast; see DESIGN.md §11. The faults must
+# also fire: a sweep in which no node died (or drained) proves nothing.
 ITASK_SUSPECT_TIMEOUT_MS=25 ./build/tools/chaos_run \
-  --seeds 16 --nodes 4 --apps WC,HS,HJ --kill-node=1@5 --json
+  --seeds 16 --nodes 4 --apps WC,HS,HJ --faults=kill=1@5 --json | tee /tmp/itask_kill_smoke.out
 ITASK_SUSPECT_TIMEOUT_MS=25 ./build/tools/chaos_run \
-  --seeds 4 --nodes 4 --apps WC,HS,HJ --poison-node=2@3 --json
+  --seeds 4 --nodes 4 --apps WC,HS,HJ --faults=poison=2@3 --json | tee /tmp/itask_poison_smoke.out
+python3 - /tmp/itask_kill_smoke.out nodes_failed /tmp/itask_poison_smoke.out nodes_draining <<'EOF'
+import json, sys
+for path, counter in zip(sys.argv[1::2], sys.argv[2::2]):
+    doc = json.loads(open(path).readlines()[-1])
+    assert doc["ok"] is True, "recovery smoke reported failures: %r" % doc["failures"]
+    assert doc[counter] >= 1, "the node fault never fired (%s = 0): %r" % (counter, doc)
+    print("recovery smoke ok: %s = %d over %d runs" % (counter, doc[counter], doc["runs"]))
+EOF
 
 echo "=== tier 4d: net smoke (recovery + chaos slice over TCP loopback) ==="
 # The same recovery fingerprint checks, but with every shuffle delivery, ack
@@ -74,7 +83,15 @@ echo "=== tier 4d: net smoke (recovery + chaos slice over TCP loopback) ==="
 cmake --build build -j --target net_test net_driver node_daemon
 ./build/tests/net_test --gtest_filter='TransportParityTest.*'
 ITASK_SUSPECT_TIMEOUT_MS=25 ./build/tools/chaos_run \
-  --seeds 8 --nodes 4 --apps WC,HS --transport=tcp --kill-node=1@5 --json
+  --seeds 8 --nodes 4 --apps WC,HS --transport=tcp --faults=kill=1@5 --json \
+  | tee /tmp/itask_net_kill_smoke.out
+python3 - /tmp/itask_net_kill_smoke.out <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).readlines()[-1])
+assert doc["ok"] is True, "net recovery smoke reported failures: %r" % doc["failures"]
+assert doc["nodes_failed"] >= 1, "the kill never fired: %r" % doc
+print("net recovery smoke ok: nodes_failed = %d over %d runs" % (doc["nodes_failed"], doc["runs"]))
+EOF
 # Multi-process: a driver and two node_daemon processes agree on fingerprints.
 ITASK_NET_TRANSPORT=tcp ./build/tools/net_driver \
   --daemons 2 --spawn --apps WC --dataset-kb 128
@@ -145,12 +162,12 @@ echo "=== tier 4g: net-fault chaos smoke (seeded loss/delay/partition + ctrl res
 # session resume (ctrl_reconnects >= 1) — never conflated with node death.
 ITASK_HEARTBEAT_MS=5 ITASK_SUSPECT_TIMEOUT_MS=500 \
 ./build/tools/chaos_run --seeds 2 --nodes 4 --apps WC,HS --transport=tcp \
-  --net-faults='seed=11,drop=0.02,reorder=0.05,dup=0.03,reset=0.005,delay=0.1:1:0.5,part=1>*@40+80,ctrldrop=0@20' \
+  --faults='seed=11,drop=0.02,reorder=0.05,dup=0.03,reset=0.005,delay=0.1:1:0.5,part=1>*@40+80,ctrldrop=1' \
   --dataset-kb 256 --json | tee /tmp/itask_netfault_smoke.out
 # A bare seed derives a moderate all-of-the-above plan deterministically.
 ITASK_HEARTBEAT_MS=5 ITASK_SUSPECT_TIMEOUT_MS=500 \
 ./build/tools/chaos_run --seeds 1 --nodes 4 --apps WC --transport=tcp \
-  --net-faults=7 --dataset-kb 128 --json | tee -a /tmp/itask_netfault_smoke.out
+  --faults=7 --dataset-kb 128 --json | tee -a /tmp/itask_netfault_smoke.out
 python3 - /tmp/itask_netfault_smoke.out <<'EOF'
 import json, sys
 docs = [json.loads(l) for l in open(sys.argv[1]) if l.startswith("{")]

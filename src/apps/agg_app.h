@@ -229,9 +229,6 @@ class AggApp {
                            [](memsim::ManagedHeap* heap, serde::SpillManager* spill) {
                              return std::make_shared<AggPartition>(BucketType(), heap, spill);
                            });
-      if (config.failure_model != nullptr) {
-        job.SetFailureModel(config.failure_model);
-      }
     }
 
     job.RegisterTaskPerNode([&](int node) {

@@ -13,7 +13,6 @@
 #include "chaos/auditor.h"
 #include "chaos/chaos.h"
 #include "cluster/cluster.h"
-#include "cluster/failure_model.h"
 #include "cluster/itask_job.h"
 #include "common/metrics.h"
 #include "itask/recovery.h"
@@ -45,11 +44,9 @@ struct AppConfig {
   // Node-failure recovery (ITask mode only; DESIGN.md §11). When set, input
   // splits are registered with the durable store, the shuffle is routed
   // through the recovery ledger, and sink output is gated on merge commits —
-  // so the job survives the faults in |failure_model|.
+  // so the job survives the node faults in the cluster's fault plan
+  // (ClusterConfig::faults), which a job without it rejects.
   bool fault_tolerance = false;
-  // Optional fault schedule, applied by the coordinator's poll loop. Only
-  // honored when fault_tolerance is set; must outlive the run.
-  cluster::FailureModel* failure_model = nullptr;
   // Tenant identity when this app runs as one job among several on a shared
   // cluster (set by jobsvc::JobService). Default: single-tenant, no budget.
   cluster::TenantBinding tenant;

@@ -235,9 +235,6 @@ AppResult RunHashJoinITask(cluster::Cluster& cluster, const AppConfig& config) {
     rec->RegisterFactory(ResType(), [](memsim::ManagedHeap* heap, serde::SpillManager* spill) {
       return std::make_shared<SummaryPartition>(ResType(), heap, spill);
     });
-    if (config.failure_model != nullptr) {
-      job.SetFailureModel(config.failure_model);
-    }
   }
   auto route_bucket = [&job, rec, nodes_total](int node) {
     return [&job, rec, node, nodes_total](core::PartitionPtr out, bool /*at_interrupt*/) {

@@ -147,9 +147,6 @@ AppResult RunHeapSortITask(cluster::Cluster& cluster, const AppConfig& config) {
     rec->RegisterFactory(RunType(), [](memsim::ManagedHeap* heap, serde::SpillManager* spill) {
       return std::make_shared<KeyPartition>(RunType(), heap, spill);
     });
-    if (config.failure_model != nullptr) {
-      job.SetFailureModel(config.failure_model);
-    }
   }
 
   job.RegisterTaskPerNode([&](int node) {

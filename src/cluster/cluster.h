@@ -12,8 +12,10 @@
 #include <system_error>
 #include <vector>
 
+#include "chaos/chaos.h"
 #include "cluster/node.h"
 #include "common/env.h"
+#include "common/logging.h"
 #include "net/transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/tracer.h"
@@ -34,8 +36,9 @@ struct ClusterConfig {
   // Fig 11c timelines) should size this to cover the whole run; the monitor
   // emits a handful of events per tick.
   std::size_t trace_ring_capacity = obs::Tracer::kDefaultRingCapacity;
-  // Spill I/O engine settings, shared by every node.
-  NodeIoConfig io;
+  // Background spill I/O workers per node (0 = every spill runs inline);
+  // ITASK_IO_POOL overrides it.
+  int io_pool_size = 2;
   // Shuffle/control transport settings (DESIGN.md §13). kInproc keeps the
   // pre-net direct-dispatch path; kTcp/kUds route fault-tolerant jobs'
   // shuffle deliveries, acks and heartbeats over loopback sockets.
@@ -45,30 +48,27 @@ struct ClusterConfig {
   // instead of heap.capacity_bytes when the entry exists and is nonzero.
   // Every other HeapConfig field is shared.
   std::vector<std::uint64_t> per_node_heap_bytes;
+  // Every fault the cluster injects (DESIGN.md §10): each node's spill store
+  // gets the spill section, every transport its jobs build gets the net
+  // section, an active schedule section installs the schedule fuzzer for the
+  // cluster's lifetime, and cluster::ItaskJob applies the node section.
+  // ITASK_FAULTS (a spec or a seed) replaces it when set.
+  chaos::FaultPlan faults;
 };
-
-// Environment overrides for the I/O engine, applied on top of |base|:
-//   ITASK_IO_POOL          workers per node (0 = synchronous I/O)
-//   ITASK_IO_FAIL_WRITE_P  probability a spill write fails
-//   ITASK_IO_FAIL_READ_P   probability a spill read fails
-//   ITASK_IO_FAIL_NTH      fail every nth spill I/O op
-//   ITASK_IO_FAIL_SEED     seed for the injection's private RNG stream
-inline NodeIoConfig NodeIoConfigFromEnv(NodeIoConfig base) {
-  base.pool_size = common::EnvInt("ITASK_IO_POOL", base.pool_size);
-  base.failure.write_probability =
-      common::EnvDouble("ITASK_IO_FAIL_WRITE_P", base.failure.write_probability);
-  base.failure.read_probability =
-      common::EnvDouble("ITASK_IO_FAIL_READ_P", base.failure.read_probability);
-  base.failure.every_nth = common::EnvU64("ITASK_IO_FAIL_NTH", base.failure.every_nth);
-  base.failure.seed = common::EnvU64("ITASK_IO_FAIL_SEED", base.failure.seed);
-  return base;
-}
 
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config)
       : config_(config), tracer_(config.trace_ring_capacity) {
     config_.net = net::NetConfigFromEnv(config.net);
+    // ITASK_FAULTS (a spec or a seed) replaces the plan. A malformed value
+    // logs one warning and is ignored, like the other ITASK_* knobs.
+    if (const std::string spec = common::EnvString("ITASK_FAULTS", ""); !spec.empty()) {
+      std::string err;
+      if (!chaos::FaultPlan::FromSpec(spec, &config_.faults, &err)) {
+        LOG_WARN() << "env: ignoring ITASK_FAULTS=\"" << spec << "\": " << err;
+      }
+    }
     // Per-run unique spill directory (pid + process-wide run counter):
     // concurrent test/bench processes sharing one temp root can never collide
     // on spill file names, and the destructor can clean up wholesale without
@@ -85,14 +85,20 @@ class Cluster {
     std::error_code ec;
     std::filesystem::create_directories(run_spill_dir_, ec);
     const std::filesystem::path& spill_dir = ec ? config.spill_root : run_spill_dir_;
-    const NodeIoConfig io = NodeIoConfigFromEnv(config.io);
+    const int io_pool_size = common::EnvInt("ITASK_IO_POOL", config.io_pool_size);
     for (int i = 0; i < config.num_nodes; ++i) {
       memsim::HeapConfig heap = config.heap;
       if (static_cast<std::size_t>(i) < config.per_node_heap_bytes.size() &&
           config.per_node_heap_bytes[static_cast<std::size_t>(i)] != 0) {
         heap.capacity_bytes = config.per_node_heap_bytes[static_cast<std::size_t>(i)];
       }
-      nodes_.push_back(std::make_unique<Node>(i, heap, spill_dir, &tracer_, io));
+      nodes_.push_back(
+          std::make_unique<Node>(i, heap, spill_dir, &tracer_, io_pool_size, config_.faults));
+    }
+    if (config_.faults.schedule.active()) {
+      fuzzer_ = std::make_unique<chaos::ScheduleFuzzer>(config_.faults.schedule,
+                                                        config_.faults.seed);
+      chaos::Install(fuzzer_.get());
     }
     // Post-mortem capture source (no-op unless ITASK_FLIGHT_RECORDER=1, in
     // which case registration also enables the tracer so a dump has data).
@@ -102,6 +108,9 @@ class Cluster {
   }
 
   ~Cluster() {
+    if (fuzzer_ != nullptr) {
+      chaos::Uninstall();
+    }
     obs::FlightRecorder::Instance().Unregister(&tracer_);
     // Nodes (and their spill managers) first, then the now-empty directory.
     // A node's crash-purged frames may already be gone; remove_all is
@@ -130,6 +139,9 @@ class Cluster {
   ClusterConfig config_;
   obs::Tracer tracer_;
   std::filesystem::path run_spill_dir_;
+  // Installed for the cluster's lifetime when the plan's schedule section is
+  // active; declared before nodes_ so it outlives their teardown.
+  std::unique_ptr<chaos::ScheduleFuzzer> fuzzer_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

@@ -7,6 +7,7 @@
 #ifndef ITASK_CLUSTER_ITASK_JOB_H_
 #define ITASK_CLUSTER_ITASK_JOB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -14,8 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/chaos.h"
 #include "cluster/cluster.h"
-#include "cluster/failure_model.h"
 #include "common/backoff.h"
 #include "itask/coordinator.h"
 #include "itask/recovery.h"
@@ -94,6 +95,7 @@ class ItaskJob {
       hooks.heap = rt->services().heap;
       hooks.spill = rt->services().spill;
       hooks.push = [rt](core::PartitionPtr dp) { rt->Push(std::move(dp)); };
+      hooks.idle = [rt] { return rt->running_activations() == 0; };
       recovery_->SetNodeHooks(i, std::move(hooks));
       rt->EnableFaultTolerance(recovery_.get());
     }
@@ -102,8 +104,8 @@ class ItaskJob {
     // Materialize+push path. Per-job transport instances use ephemeral
     // ports, so concurrent tenants never collide on an endpoint.
     if (cluster_->config().net.kind != net::TransportKind::kInproc) {
-      fabric_ = std::make_unique<net::ShuffleFabric>(cluster_->config().net,
-                                                     recovery_.get(), num_nodes());
+      fabric_ = std::make_unique<net::ShuffleFabric>(
+          cluster_->config().net, cluster_->config().faults, recovery_.get(), num_nodes());
       obs::Tracer* trace = &cluster_->tracer();
       fabric_->transport().SetEventSink(
           [trace](int endpoint, obs::EventKind kind, std::uint64_t a, std::uint64_t b) {
@@ -115,10 +117,6 @@ class ItaskJob {
   }
   core::RecoveryContext* recovery() { return recovery_.get(); }
   net::ShuffleFabric* fabric() { return fabric_.get(); }
-
-  // Attaches a fault schedule, applied by the coordinator's poll loop.
-  // Requires EnableFaultTolerance() first; |model| must outlive Run().
-  void SetFailureModel(FailureModel* model) { failure_model_ = model; }
 
   // Registers the same task on every node. |make_spec| is called once per
   // node so per-node routing closures can capture the node id.
@@ -147,8 +145,13 @@ class ItaskJob {
   }
 
   // Runs to completion; returns false if aborted (including a blown
-  // deadline_ms, when > 0).
+  // deadline_ms, when > 0). The node section of the cluster's fault plan
+  // fires from the coordinator's poll loop; a fault that could never fire on
+  // this job throws std::invalid_argument before anything runs.
   bool Run(const std::function<void()>& feed, double deadline_ms = 0.0) {
+    const chaos::FaultPlan& faults = cluster_->config().faults;
+    faults.CheckFires(num_nodes(), recovery_ != nullptr);
+    pending_faults_ = faults.node;
     std::vector<core::IrsRuntime*> ptrs;
     ptrs.reserve(runtimes_.size());
     for (auto& r : runtimes_) {
@@ -157,7 +160,7 @@ class ItaskJob {
     coordinator_ = std::make_unique<core::JobCoordinator>(state_, ptrs);
     if (recovery_ != nullptr) {
       coordinator_->EnableFaultTolerance(recovery_.get());
-      if (failure_model_ != nullptr) {
+      if (!pending_faults_.empty()) {
         coordinator_->SetFaultPoll(
             [this](double elapsed_ms) { ApplyDueFaults(elapsed_ms); });
       }
@@ -194,68 +197,62 @@ class ItaskJob {
   }
 
  private:
+  // Fires each pending node fault once its job-relative time has come. Runs
+  // on the coordinator's thread, the only one touching pending_faults_.
   void ApplyDueFaults(double elapsed_ms) {
-    for (const NodeFault& fault : failure_model_->TakeDue(elapsed_ms)) {
-      if (fault.node < 0 || fault.node >= num_nodes()) {
-        continue;
-      }
+    const auto due = std::stable_partition(
+        pending_faults_.begin(), pending_faults_.end(),
+        [elapsed_ms](const chaos::NodeFault& f) { return f.at_ms > elapsed_ms; });
+    for (auto it = due; it != pending_faults_.end(); ++it) {
+      const chaos::NodeFault& fault = *it;
       core::IrsRuntime& rt = *runtimes_[static_cast<std::size_t>(fault.node)];
       switch (fault.kind) {
-        case FaultKind::kKill:
+        case chaos::NodeFaultKind::kKill:
           // Crash: beats stop and the runtime is fenced at once — queued
           // work purged, late pushes discarded. Detection (suspect -> dead)
           // and lineage recovery still go through the heartbeat detector.
           // Over a socket transport the node's endpoint dies with it, so
           // in-flight deliveries fail as peer-gone instead of blocking.
-          // Tests may age the last beat so detection doesn't race job
-          // completion.
           recovery_->membership().SuppressBeats(fault.node, true);
-          if (fault.silence_age_ms > 0.0) {
-            recovery_->membership().AgeBeat(
-                fault.node, static_cast<std::uint64_t>(fault.silence_age_ms * 1e6));
-          }
           rt.Fence();
           if (fabric_ != nullptr) {
             fabric_->CloseNode(fault.node);
           }
           break;
-        case FaultKind::kHang:
+        case chaos::NodeFaultKind::kHang:
           // Zombie: only the beats stop; the runtime keeps executing until
-          // the detector declares it dead and fences it. Tests may age the
-          // last beat so detection doesn't race job completion.
+          // the detector declares it dead and fences it.
           recovery_->membership().SuppressBeats(fault.node, true);
-          if (fault.silence_age_ms > 0.0) {
-            recovery_->membership().AgeBeat(
-                fault.node, static_cast<std::uint64_t>(fault.silence_age_ms * 1e6));
-          }
           break;
-        case FaultKind::kOomPoison:
-          // Every allocation now throws; the node demotes itself to draining
-          // via the escaped-OME / zero-progress path.
+        case chaos::NodeFaultKind::kPoison:
+          // Every allocation now throws; the node drains through the
+          // escaped-OME / zero-progress path, or the ledger drains it once
+          // it refuses deliveries with nothing running.
           rt.services().heap->Poison();
           break;
-        case FaultKind::kDisconnect:
+        case chaos::NodeFaultKind::kDisconnect:
           // Known network cut: beats stop reaching the detector AND the
           // membership learns the cause — the node parks in kDisconnected
           // and gets the (longer) disconnect grace window instead of being
           // walked to kDead on plain silence.
           recovery_->NoteLinkDown(fault.node);
           recovery_->membership().SuppressBeats(fault.node, true);
-          // Tests may age the last beat past the disconnect grace so the
-          // expiry doesn't race job completion. The aged beat predates the
-          // disconnect stamp, so it can never read as a heal.
-          if (fault.silence_age_ms > 0.0) {
-            recovery_->membership().AgeBeat(
-                fault.node, static_cast<std::uint64_t>(fault.silence_age_ms * 1e6));
-          }
           break;
-        case FaultKind::kHeal:
+        case chaos::NodeFaultKind::kHeal:
           // Partition heals: beats resume and the coordinator moves the node
           // back to kAlive (counting a healed partition) on its next pass.
           recovery_->membership().SuppressBeats(fault.node, false);
           break;
       }
+      // Tests age the silenced node's last beat so detection (or a
+      // disconnect's grace expiry) does not race job completion. An aged
+      // beat predates any disconnect stamp, so it never reads as a heal.
+      if (fault.silence_age_ms > 0.0) {
+        recovery_->membership().AgeBeat(
+            fault.node, static_cast<std::uint64_t>(fault.silence_age_ms * 1e6));
+      }
     }
+    pending_faults_.erase(due, pending_faults_.end());
   }
 
   std::shared_ptr<core::JobState> state_;
@@ -267,7 +264,8 @@ class ItaskJob {
   // Declared after recovery_: destroyed first, detaching its hooks before the
   // recovery context they point into goes away.
   std::unique_ptr<net::ShuffleFabric> fabric_;
-  FailureModel* failure_model_ = nullptr;
+  // Node faults of the cluster's plan that have not fired yet.
+  std::vector<chaos::NodeFault> pending_faults_;
   // Registry counters at construction; Metrics() reports the delta.
   common::BackoffRegistry::Snapshot backoff_base_;
 };

@@ -3,8 +3,9 @@
 // in-process so per-node memory pressure can be reproduced deterministically.
 //
 // The node's serde::SpillManager owns the spill I/O end to end: its bounded
-// background worker pool (io::IoExecutor, NodeIoConfig::pool_size workers; 0
-// runs every spill inline) and the framed files on disk.
+// background worker pool (io::IoExecutor, |io_pool_size| workers; 0 runs
+// every spill inline) and the framed files on disk. It injects the spill
+// section of the cluster's fault plan, on a stream seeded per node.
 //
 // When the owning cluster hands the node a tracer, the node bridges its
 // substrates into it: every heap collection becomes a kGc event (reclaim
@@ -17,30 +18,26 @@
 #include <memory>
 #include <string>
 
+#include "chaos/chaos.h"
 #include "memsim/managed_heap.h"
 #include "obs/tracer.h"
 #include "serde/spill_manager.h"
 
 namespace itask::cluster {
 
-// Per-node spill I/O engine configuration (ClusterConfig carries one for the
-// whole cluster; see NodeIoConfigFromEnv in cluster.h for the env knobs).
-struct NodeIoConfig {
-  int pool_size = 2;  // Background I/O workers; 0 = synchronous (inline).
-  serde::SpillFailureInjection failure;  // Disabled unless armed.
-};
-
 class Node {
  public:
   Node(int id, const memsim::HeapConfig& heap_config, const std::filesystem::path& spill_root,
-       obs::Tracer* tracer = nullptr, const NodeIoConfig& io_config = {})
+       obs::Tracer* tracer = nullptr, int io_pool_size = 2,
+       const chaos::FaultPlan& faults = {})
       : id_(id),
         name_("node" + std::to_string(id)),
         tracer_(tracer),
         heap_(heap_config),
-        spill_(spill_root, name_, io_config.pool_size) {
-    if (io_config.failure.enabled()) {
-      spill_.SetFailureInjection(io_config.failure);
+        spill_(spill_root, name_, io_pool_size) {
+    if (faults.spill.active()) {
+      spill_.SetFaults(faults.spill,
+                       faults.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(id + 1)));
     }
     if (tracer_ != nullptr) {
       spill_.SetTracer(tracer_, id_);

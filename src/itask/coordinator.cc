@@ -104,7 +104,7 @@ bool JobCoordinator::DetectFailures() {
         lost_handled_[i] = true;
         ++nodes_draining_;
         LOG_WARN() << "coordinator: node " << node
-                   << " draining (escaped OME); recovering its in-flight work";
+                   << " draining (out of memory); recovering its in-flight work";
         obs::FlightRecorder::Instance().Trigger(
             "ome-drain-node" + std::to_string(node));
         runtimes_[i]->Fence();

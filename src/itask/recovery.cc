@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "chaos/chaos.h"
 #include "common/backoff.h"
 #include "common/env.h"
 #include "common/logging.h"
@@ -17,14 +18,9 @@ namespace itask::core {
 
 namespace {
 
-// splitmix64: deterministic jitter for the delivery backoff without touching
-// any global RNG (chaos sweeps re-run fixed seeds and must stay reproducible).
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// Deterministic jitter for the delivery backoff without touching any global
+// RNG (chaos sweeps re-run fixed seeds and must stay reproducible).
+using chaos::Mix64;
 
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -53,7 +49,8 @@ RecoveryContext::RecoveryContext(RecoveryConfig config, int num_nodes)
       membership_(num_nodes),
       broker_(num_nodes, MigrationConfig::FromEnv()),
       hooks_(static_cast<std::size_t>(num_nodes)),
-      delivered_at_(static_cast<std::size_t>(num_nodes)) {
+      delivered_at_(static_cast<std::size_t>(num_nodes)),
+      landed_ns_(static_cast<std::size_t>(num_nodes), 0) {
   memsim::HeapConfig sink_heap_config;
   sink_heap_config.capacity_bytes = 1ULL << 40;  // Effectively unbounded.
   sink_heap_config.gc_base_ns = 0;
@@ -408,10 +405,13 @@ void RecoveryContext::OnDeliveryAck(int target, const ShuffleWireId& id,
   in_flight_.erase(key);
   e.in_flight_to = -1;
   if (status == DeliveryStatus::kBackoff) {
-    RetryLaterLocked(key, e, NowNs());
-  } else {
-    SettleLocked(key, e, target);
+    RefusedLocked(key, e, target, NowNs());
+    return;
   }
+  if (status == DeliveryStatus::kDelivered) {
+    landed_ns_[static_cast<std::size_t>(target)] = NowNs();
+  }
+  SettleLocked(key, e, target);
 }
 
 void RecoveryContext::Sweep() {
@@ -704,10 +704,11 @@ void RecoveryContext::DispatchLocked(const EntryKey& key, Entry& entry, std::uin
   } catch (const memsim::OutOfMemoryError&) {
     // Target heap full right now; back off (capped exponential + jitter) and
     // re-check membership then — the target may get demoted meanwhile.
-    RetryLaterLocked(key, entry, now);
+    RefusedLocked(key, entry, target, now);
     return;
   }
   pending_.erase(key);
+  landed_ns_[static_cast<std::size_t>(target)] = now;
   SettleLocked(key, entry, target);
 }
 
@@ -732,6 +733,28 @@ void RecoveryContext::RetryLaterLocked(const EntryKey& key, Entry& entry, std::u
       Mix64(static_cast<std::uint64_t>(std::get<0>(key)) << 20 | std::get<2>(key)), now);
   pending_.insert(key);
   WakeSweepLocked(entry.not_before_ns);
+}
+
+void RecoveryContext::RefusedLocked(const EntryKey& key, Entry& entry, int target,
+                                    std::uint64_t now) {
+  if (entry.attempt == 0) {
+    entry.round_start_ns = now;
+  }
+  RetryLaterLocked(key, entry, now);
+  const bool round_failed = entry.attempt == 0;  // The ladder wrapped.
+  const RecoveryNodeHooks& h = hooks_[static_cast<std::size_t>(target)];
+  if (!round_failed || landed_ns_[static_cast<std::size_t>(target)] >= entry.round_start_ns ||
+      !h.idle || !h.idle() || !membership_.TryDemoteToDraining(target)) {
+    return;
+  }
+  // The coordinator fences the draining node and OnNodeLost re-routes its
+  // range, exactly as after an escaped OME on one of its workers.
+  LOG_WARN() << "recovery: node " << target
+             << " refused every delivery of a full retry round with no activation running; "
+                "draining";
+  if (tracer_ != nullptr) {
+    tracer_->Emit(obs::EventKind::kNodeDraining, static_cast<std::uint16_t>(target));
+  }
 }
 
 std::uint64_t RecoveryContext::NextAttemptNs(int* attempt, std::uint64_t salt,

@@ -92,6 +92,9 @@ struct RecoveryNodeHooks {
   serde::SpillManager* spill = nullptr;
   std::function<void(PartitionPtr)> push;
   std::function<void(PartitionPtr)> sink;
+  // True while the node runs no activation. Unset reads as busy: the ledger
+  // then never drains the node for refusing deliveries (see RefusedLocked).
+  std::function<bool()> idle;
 };
 
 // ---- Net-transport integration (src/net) ----
@@ -345,6 +348,7 @@ class RecoveryContext {
     std::uint64_t ack_deadline_ns = 0;  // 0 while the send call is running.
     std::uint64_t not_before_ns = 0;    // Pending: earliest next attempt.
     int attempt = 0;                    // Position in the current retry round.
+    std::uint64_t round_start_ns = 0;   // First failure of the current round.
   };
 
   // One send that CommitEpoch/Sweep ships after releasing mu_.
@@ -377,6 +381,14 @@ class RecoveryContext {
 
   // A failed attempt: park the entry as pending until its backoff elapses.
   void RetryLaterLocked(const EntryKey& key, Entry& entry, std::uint64_t now_ns);
+
+  // |target| refused to materialize the entry (an OME inproc, a backpressure
+  // ack over a transport): retry later, and drain |target| once a full retry
+  // round failed with nothing landing on it and no activation running there.
+  // Such a node never demotes itself — it OMEs only from its own activations,
+  // and its merges wait for these very deliveries — so without this the
+  // entry retries forever and MergeSafe() never opens. mu_ held.
+  void RefusedLocked(const EntryKey& key, Entry& entry, int target, std::uint64_t now_ns);
 
   // Advances |*attempt| within its retry round and returns the not-before
   // time of that attempt: the shared backoff ladder, restarting on the next
@@ -431,6 +443,7 @@ class RecoveryContext {
   std::set<EntryKey> pending_;    // Committed, undelivered, not in flight.
   std::set<EntryKey> in_flight_;  // Sent, awaiting the ack.
   std::vector<std::set<EntryKey>> delivered_at_;  // Per node: delivered_to.
+  std::vector<std::uint64_t> landed_ns_;  // Per node: last materialization that landed.
   std::uint64_t send_serial_ = 0;
   std::map<Tag, std::vector<SinkChunk>> sink_chunks_;
   std::set<Tag> sunk_tags_;

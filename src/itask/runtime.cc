@@ -423,7 +423,7 @@ void IrsRuntime::MonitorLoop() {
       }
     }
 
-    // Chaos fault draws, one set per tick (see chaos::FuzzConfig). They run
+    // Chaos fault draws, one set per tick (see chaos::ScheduleFaults). They run
     // before the regular pressure logic so an injected flip is immediately
     // acted on by the same tick — exactly how a mistimed real signal would
     // interleave.

@@ -154,6 +154,8 @@ class IrsRuntime {
   JobState& state() { return *state_; }
 
   bool pressure() const { return pressure_.load(std::memory_order_relaxed); }
+  // Activations executing on this node's workers right now.
+  int running_activations() const { return sched_.active_count(); }
 
   // ---- Observability ----
   // Never null: the shared cluster tracer, or this runtime's private one.

@@ -483,6 +483,11 @@ int CtrlClient::ConnectAndJoin(bool resume) {
   if (!SendMessageFrame(*sock, join)) {
     return -1;
   }
+  // Bound the wait for the ack, as the server bounds its wait for the join:
+  // once a driver shuts down, its port can be reused by a listener that
+  // never answers, and a resume blocked here would wedge ~CtrlClient.
+  timeval ack_timeout{connect_timeout_ms / 1000, (connect_timeout_ms % 1000) * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &ack_timeout, sizeof(ack_timeout));
   Message ack;
   try {
     if (!RecvMessageFrame(*sock, &ack) || ack.kind != MsgKind::kJoinAck) {
@@ -491,6 +496,8 @@ int CtrlClient::ConnectAndJoin(bool resume) {
   } catch (const std::exception&) {
     return -1;
   }
+  timeval no_timeout{0, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &no_timeout, sizeof(no_timeout));
   const int id = static_cast<int>(ack.a);
   if (resume) {
     // The heartbeat and serve threads read node_id_ and the clock offset

@@ -9,12 +9,12 @@
 
 namespace itask::net {
 
-ShuffleFabric::ShuffleFabric(const NetConfig& config, core::RecoveryContext* recovery,
-                             int num_nodes)
+ShuffleFabric::ShuffleFabric(const NetConfig& config, const chaos::FaultPlan& faults,
+                             core::RecoveryContext* recovery, int num_nodes)
     : config_(config),
       recovery_(recovery),
       num_nodes_(num_nodes),
-      transport_(MakeTransport(config)),
+      transport_(MakeTransport(config, faults)),
       seen_(static_cast<std::size_t>(num_nodes)) {
   for (int i = 0; i < num_nodes; ++i) {
     seen_mu_.push_back(std::make_unique<std::mutex>());

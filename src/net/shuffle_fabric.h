@@ -57,10 +57,12 @@ struct FabricStats {
 
 class ShuffleFabric {
  public:
-  // Builds the transport, registers all endpoints and wires |recovery|'s
-  // delivery channel / beat sink / node-lost hook. |recovery| must outlive
-  // the fabric; the destructor detaches the hooks again.
-  ShuffleFabric(const NetConfig& config, core::RecoveryContext* recovery, int num_nodes);
+  // Builds the transport (injecting the net section of |faults|), registers
+  // all endpoints and wires |recovery|'s delivery channel / beat sink /
+  // node-lost hook. |recovery| must outlive the fabric; the destructor
+  // detaches the hooks again.
+  ShuffleFabric(const NetConfig& config, const chaos::FaultPlan& faults,
+                core::RecoveryContext* recovery, int num_nodes);
   ~ShuffleFabric();
 
   ShuffleFabric(const ShuffleFabric&) = delete;

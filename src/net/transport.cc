@@ -28,7 +28,7 @@
 #include "common/backoff.h"
 #include "common/env.h"
 #include "common/logging.h"
-#include "net/fault_engine.h"
+#include "net/faults.h"
 #include "net/frame_socket.h"
 
 namespace itask::net {
@@ -72,16 +72,6 @@ NetConfig NetConfigFromEnv(NetConfig base) {
   base.bind_host = common::EnvString("ITASK_NET_BIND_HOST", base.bind_host);
   base.connect_timeout_ms =
       std::max(1, common::EnvInt("ITASK_NET_CONNECT_TIMEOUT_MS", base.connect_timeout_ms));
-  const std::string fault_spec = common::EnvString("ITASK_NET_FAULT_SPEC", "");
-  if (!fault_spec.empty()) {
-    std::string err;
-    if (!NetFaultPlan::FromSpec(fault_spec, &base.fault_plan, &err)) {
-      LOG_WARN() << "env: ignoring ITASK_NET_FAULT_SPEC: " << err;
-    }
-  } else if (const std::uint64_t fault_seed =
-                 common::EnvU64("ITASK_NET_FAULT_SEED", 0)) {
-    base.fault_plan = NetFaultPlan::FromSeed(fault_seed);
-  }
   return base;
 }
 
@@ -192,7 +182,7 @@ std::atomic<std::uint64_t> g_transport_serial{0};
 
 class SocketTransport final : public Transport {
  public:
-  explicit SocketTransport(const NetConfig& config)
+  SocketTransport(const NetConfig& config, const chaos::FaultPlan& faults)
       : config_(config),
         serial_(g_transport_serial.fetch_add(1) + 1),
         depth_hist_(QueueDepthBounds()),
@@ -201,8 +191,8 @@ class SocketTransport final : public Transport {
             common::BackoffPolicy{/*base_ms=*/1.0, /*cap_ms=*/128.0,
                                   /*multiplier=*/2.0, /*jitter=*/0.25,
                                   /*max_attempts=*/-1, /*deadline_ms=*/0.0})) {
-    if (config_.fault_plan.active()) {
-      faults_ = std::make_unique<NetFaultEngine>(config_.fault_plan);
+    if (faults.net.active()) {
+      faults_ = std::make_unique<NetFaultEngine>(faults);
     }
   }
 
@@ -847,11 +837,12 @@ class SocketTransport final : public Transport {
 
 }  // namespace
 
-std::unique_ptr<Transport> MakeTransport(const NetConfig& config) {
+std::unique_ptr<Transport> MakeTransport(const NetConfig& config,
+                                         const chaos::FaultPlan& faults) {
   if (config.kind == TransportKind::kInproc) {
     return std::make_unique<InprocTransport>();
   }
-  return std::make_unique<SocketTransport>(config);
+  return std::make_unique<SocketTransport>(config, faults);
 }
 
 }  // namespace itask::net

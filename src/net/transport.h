@@ -31,7 +31,7 @@
 #include <string>
 #include <string_view>
 
-#include "net/fault_engine.h"
+#include "net/faults.h"
 #include "net/message.h"
 #include "obs/event.h"
 #include "obs/histogram.h"
@@ -67,9 +67,6 @@ struct NetConfig {
   // Ceiling on one dial attempt: a black-holed SYN costs this much, not
   // forever (non-blocking connect + poll; see ConnectWithTimeout).
   int connect_timeout_ms = 1000;
-  // Seeded sender-side fault plan (drop/delay/reorder/dup/corrupt/truncate/
-  // reset + timed partitions). Inactive by default; see net/fault_engine.h.
-  NetFaultPlan fault_plan;
 };
 
 // Reads the ITASK_NET_* knob family (strict parsing via common/env.h):
@@ -77,8 +74,6 @@ struct NetConfig {
 //   ITASK_NET_BATCH_BYTES ITASK_NET_QUEUE_CAP ITASK_NET_ACK_TIMEOUT_MS
 //   ITASK_NET_FLUSH_US    ITASK_NET_PORT
 //   ITASK_NET_BIND_HOST   ITASK_NET_CONNECT_TIMEOUT_MS
-//   ITASK_NET_FAULT_SPEC  (NetFaultPlan spec string; see net/fault_engine.h)
-//   ITASK_NET_FAULT_SEED  (derive a plan from a bare seed; 0 = off)
 NetConfig NetConfigFromEnv(NetConfig base = NetConfig{});
 
 // Mechanical counters; semantic counters (dup payloads dropped, redeliveries)
@@ -151,7 +146,11 @@ class Transport {
   virtual void SetLinkObserver(LinkObserver observer) { (void)observer; }
 };
 
-std::unique_ptr<Transport> MakeTransport(const NetConfig& config);
+// Builds the backend |config| names. Socket backends inject the net section
+// of |faults| (net/faults.h); with that section inactive they run no
+// fault engine at all.
+std::unique_ptr<Transport> MakeTransport(const NetConfig& config,
+                                         const chaos::FaultPlan& faults = {});
 
 }  // namespace itask::net
 

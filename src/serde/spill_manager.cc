@@ -42,29 +42,28 @@ std::filesystem::path SpillManager::PathFor(SpillId id) const {
   return dir_ / ("part-" + std::to_string(id) + ".bin");
 }
 
-void SpillManager::SetFailureInjection(const SpillFailureInjection& injection) {
+void SpillManager::SetFaults(const chaos::SpillFaults& faults, std::uint64_t seed) {
   std::lock_guard lock(mu_);
-  inject_ = injection;
+  faults_ = faults;
   inject_ops_.store(0, std::memory_order_relaxed);
-  inject_rng_.store(injection.seed != 0 ? injection.seed : 0x5eedf00dULL,
-                    std::memory_order_relaxed);
+  inject_rng_.store(seed != 0 ? seed : 0x5eedf00dULL, std::memory_order_relaxed);
 }
 
 void SpillManager::MaybeInjectFailure(bool is_write) {
-  SpillFailureInjection inject;
+  chaos::SpillFaults faults;
   {
     std::lock_guard lock(mu_);
-    inject = inject_;
+    faults = faults_;
   }
-  if (!inject.enabled()) {
+  if (!faults.active()) {
     return;
   }
   bool fail = false;
-  if (inject.every_nth != 0) {
+  if (faults.every_nth > 0) {
     const std::uint64_t op = inject_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-    fail = (op % inject.every_nth) == 0;
+    fail = (op % static_cast<std::uint64_t>(faults.every_nth)) == 0;
   }
-  const double prob = is_write ? inject.write_probability : inject.read_probability;
+  const double prob = is_write ? faults.write_p : faults.read_p;
   if (!fail && prob > 0.0) {
     // Private xorshift64* stream: deterministic for a fixed seed and op order.
     std::uint64_t x = inject_rng_.load(std::memory_order_relaxed);

@@ -20,9 +20,9 @@
 //    cached. The next load rethrows the error once, and a retry is served
 //    from the cache, so no data is lost or double-counted.
 //
-// Failure injection: SetFailureInjection arms a deterministic fault point
+// Fault injection: SetFaults arms the spill section of a chaos::FaultPlan
 // (probability per op, or every nth op) on the file write and/or file read so
-// tests and chaos configs can force spill I/O errors. A failed write removes
+// tests and fault plans can force spill I/O errors. A failed write removes
 // its partial file; an injected read fault fires before any state moves, so
 // the spill stays loadable.
 //
@@ -41,6 +41,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "chaos/chaos.h"
 #include "common/byte_buffer.h"
 #include "io/io_executor.h"
 #include "obs/histogram.h"
@@ -70,21 +71,6 @@ struct SpillStats {
   std::uint64_t write_failures = 0;         // Background writes that errored.
   std::uint64_t read_stall_ns = 0;          // Total consumer-visible stall.
   obs::HistogramSnapshot read_stall;        // Per-load stall distribution.
-};
-
-// Deterministic I/O fault point, configured per manager (ClusterConfig wires
-// the cluster-wide setting and the ITASK_IO_FAIL_* env overrides through).
-// `every_nth` == n fails every nth file write/read (1-based); `*_probability`
-// draws from a private xorshift stream seeded with `seed` so runs replay.
-struct SpillFailureInjection {
-  double write_probability = 0.0;
-  double read_probability = 0.0;
-  std::uint64_t every_nth = 0;  // 0 = disabled.
-  std::uint64_t seed = 0x5eedf00dULL;
-
-  bool enabled() const {
-    return write_probability > 0.0 || read_probability > 0.0 || every_nth != 0;
-  }
 };
 
 class SpillManager {
@@ -129,7 +115,9 @@ class SpillManager {
   // Blocks until every queued and in-flight write is durable (or failed).
   void Drain() { executor_.Drain(); }
 
-  void SetFailureInjection(const SpillFailureInjection& injection);
+  // Arms |faults| on this store's file writes and reads. Probabilities draw
+  // from a private stream seeded with |seed|, so a run replays its faults.
+  void SetFaults(const chaos::SpillFaults& faults, std::uint64_t seed = 0);
 
   // Called by DataPartition when a LoadAndRemove attempt failed and is being
   // retried; surfaces read faults in stats instead of letting the retry loop
@@ -179,13 +167,13 @@ class SpillManager {
   std::uint16_t trace_node_ = 0;
   std::filesystem::path dir_;
 
-  mutable std::mutex mu_;             // Guards entries_, next_id_, stats_, inject_.
+  mutable std::mutex mu_;             // Guards entries_, next_id_, stats_, faults_.
   std::condition_variable state_cv_;  // Signalled when a write settles.
   std::unordered_map<SpillId, Entry> entries_;
   SpillId next_id_ = 1;
   SpillStats stats_;
 
-  SpillFailureInjection inject_;
+  chaos::SpillFaults faults_;
   std::atomic<std::uint64_t> inject_ops_{0};
   std::atomic<std::uint64_t> inject_rng_{0};
   std::atomic<std::uint64_t> load_retries_{0};

@@ -1,9 +1,11 @@
-// Chaos-harness tests: fault-plan determinism, fuzzer stream reproducibility,
-// and named regression seeds for bugs the schedule-fuzzing sweep surfaced.
-// Each regression seed replays the exact fault plan `chaos_run` reported as
-// the first failing seed before the corresponding fix landed.
+// Chaos-harness tests: the one fault plan (grammar, exact round trip, seed
+// derivation), fuzzer stream reproducibility, and named regression seeds for
+// bugs the schedule-fuzzing sweep surfaced. Each regression seed replays the
+// exact fault plan `chaos_run` reported as the first failing seed before the
+// corresponding fix landed.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "apps/hyracks_apps.h"
@@ -33,25 +35,21 @@ apps::AppResult RunClean(const std::string& app) {
   return apps::RunHyracksApp(app, cl, TinyAppConfig(), apps::Mode::kITask);
 }
 
-// Replays one chaos_run sweep cell: derive the seed's fault plan, build the
-// tiny pressured cluster with its spill-write faults wired in, and run the
-// app under the installed schedule fuzzer with job-end auditing on.
+// Replays one chaos_run sweep cell with no --faults spec: the seed's plan
+// minus its net section (the sweep seed fills only schedule and spill), on
+// the tiny pressured cluster that installs the fuzzer and arms the spill
+// faults, with job-end auditing on.
 apps::AppResult RunUnderSeed(const std::string& app, std::uint64_t seed) {
-  const FaultPlan plan = FaultPlan::FromSeed(seed);
   cluster::ClusterConfig cc;
   cc.num_nodes = 2;
   cc.heap.capacity_bytes = 1536 << 10;  // Small enough to force interrupts.
   cc.heap.real_pauses = false;
-  cc.io.failure.write_probability = plan.spill_write_fail_p;
-  cc.io.failure.seed = plan.spill_fail_seed;
+  cc.faults = FaultPlan::FromSeed(seed);
+  cc.faults.net = NetFaults{};
   cluster::Cluster cl(cc);
 
   SetAuditEnabled(true);
-  ScheduleFuzzer fuzzer(plan.fuzz);
-  Install(&fuzzer);
-  apps::AppResult result = apps::RunHyracksApp(app, cl, TinyAppConfig(), apps::Mode::kITask);
-  Uninstall();
-  return result;
+  return apps::RunHyracksApp(app, cl, TinyAppConfig(), apps::Mode::kITask);
 }
 
 void ExpectCleanRun(const apps::AppResult& result, const apps::AppResult& reference,
@@ -68,22 +66,180 @@ void ExpectCleanRun(const apps::AppResult& result, const apps::AppResult& refere
   }
 }
 
+FaultPlan Parse(const std::string& spec) {
+  FaultPlan plan;
+  std::string err;
+  EXPECT_TRUE(FaultPlan::FromSpec(spec, &plan, &err)) << spec << ": " << err;
+  return plan;
+}
+
 TEST(FaultPlanTest, DerivationIsDeterministic) {
   const FaultPlan a = FaultPlan::FromSeed(99);
   const FaultPlan b = FaultPlan::FromSeed(99);
+  EXPECT_EQ(a, b);
   EXPECT_EQ(a.Describe(), b.Describe());
-  EXPECT_EQ(a.fuzz.seed, b.fuzz.seed);
+  EXPECT_EQ(a.seed, 99u);
   EXPECT_NE(FaultPlan::FromSeed(1).Describe(), FaultPlan::FromSeed(2).Describe());
 }
 
+TEST(FaultPlanTest, SeededPlansRoundTripExactly) {
+  // Describe() prints shortest round-trip numbers, so every derived plan
+  // parses back bit-for-bit, not just to four significant digits.
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const FaultPlan plan = FaultPlan::FromSeed(seed);
+    FaultPlan back;
+    std::string err;
+    ASSERT_TRUE(FaultPlan::FromSpec(plan.Describe(), &back, &err)) << seed << ": " << err;
+    ASSERT_EQ(back, plan) << "seed " << seed << ": " << plan.Describe();
+  }
+}
+
+TEST(FaultPlanTest, SpecRoundTripsEveryClause) {
+  const FaultPlan plan = Parse(
+      "seed=42,yield=0.25,sleep=0.03:40,flip=0.05,storm=0.1:4,ome=0.02,shuffle=0.2:150,"
+      "spillwrite=0.04,spillread=0.01,spillnth=7,kill=1@5,hang=2@6.5,poison=3@3,"
+      "disconnect=1@20,heal=1@40,drop=0.01,reorder=0.02,dup=0.03,corrupt=0.004,"
+      "trunc=0.005,reset=0.006,delay=0.1:2:1,part=0>2@50+100,part=*<>3@10+0,ctrldrop=2");
+  EXPECT_EQ(plan.seed, 42u);
+  EXPECT_DOUBLE_EQ(plan.schedule.yield_p, 0.25);
+  EXPECT_DOUBLE_EQ(plan.schedule.sleep_p, 0.03);
+  EXPECT_EQ(plan.schedule.max_sleep_us, 40);
+  EXPECT_DOUBLE_EQ(plan.schedule.pressure_flip_p, 0.05);
+  EXPECT_DOUBLE_EQ(plan.schedule.signal_storm_p, 0.1);
+  EXPECT_EQ(plan.schedule.signal_storm_burst, 4);
+  EXPECT_DOUBLE_EQ(plan.schedule.forced_ome_p, 0.02);
+  EXPECT_DOUBLE_EQ(plan.schedule.shuffle_delay_p, 0.2);
+  EXPECT_EQ(plan.schedule.shuffle_delay_max_us, 150);
+  EXPECT_DOUBLE_EQ(plan.spill.write_p, 0.04);
+  EXPECT_DOUBLE_EQ(plan.spill.read_p, 0.01);
+  EXPECT_EQ(plan.spill.every_nth, 7);
+  ASSERT_EQ(plan.node.size(), 5u);
+  EXPECT_EQ(plan.node[0], (NodeFault{1, 5.0, NodeFaultKind::kKill}));
+  EXPECT_EQ(plan.node[1], (NodeFault{2, 6.5, NodeFaultKind::kHang}));
+  EXPECT_EQ(plan.node[2], (NodeFault{3, 3.0, NodeFaultKind::kPoison}));
+  EXPECT_EQ(plan.node[3], (NodeFault{1, 20.0, NodeFaultKind::kDisconnect}));
+  EXPECT_EQ(plan.node[4], (NodeFault{1, 40.0, NodeFaultKind::kHeal}));
+  EXPECT_DOUBLE_EQ(plan.net.drop, 0.01);
+  EXPECT_DOUBLE_EQ(plan.net.reorder, 0.02);
+  EXPECT_DOUBLE_EQ(plan.net.duplicate, 0.03);
+  EXPECT_DOUBLE_EQ(plan.net.corrupt, 0.004);
+  EXPECT_DOUBLE_EQ(plan.net.truncate, 0.005);
+  EXPECT_DOUBLE_EQ(plan.net.reset, 0.006);
+  EXPECT_DOUBLE_EQ(plan.net.delay, 0.1);
+  EXPECT_DOUBLE_EQ(plan.net.delay_ms, 2.0);
+  EXPECT_DOUBLE_EQ(plan.net.delay_jitter_ms, 1.0);
+  ASSERT_EQ(plan.net.partitions.size(), 2u);
+  EXPECT_EQ(plan.net.partitions[0].a, 0);
+  EXPECT_EQ(plan.net.partitions[0].b, 2);
+  EXPECT_FALSE(plan.net.partitions[0].two_way);
+  EXPECT_DOUBLE_EQ(plan.net.partitions[0].start_ms, 50.0);
+  EXPECT_DOUBLE_EQ(plan.net.partitions[0].duration_ms, 100.0);
+  EXPECT_EQ(plan.net.partitions[1].a, kAnyEndpoint);
+  EXPECT_EQ(plan.net.partitions[1].b, 3);
+  EXPECT_TRUE(plan.net.partitions[1].two_way);
+  EXPECT_DOUBLE_EQ(plan.net.partitions[1].duration_ms, 0.0);  // Never heals.
+  EXPECT_EQ(plan.net.ctrl_drops, 2);
+  EXPECT_TRUE(plan.schedule.active());
+  EXPECT_TRUE(plan.spill.active());
+  EXPECT_TRUE(plan.net.active());
+
+  // Describe() emits a spec that parses back into the identical plan.
+  EXPECT_EQ(Parse(plan.Describe()), plan);
+}
+
+TEST(FaultPlanTest, RejectsMalformedClauses) {
+  FaultPlan plan;
+  std::string err;
+  for (const char* spec : {
+           "drop=1.5",      // P > 1.
+           "drop=x",        //
+           "bogus=1",       // Unknown clause.
+           "noequals",      //
+           "delay=0.1",     // No MS.
+           "part=0-2@5+5",  // No arrow.
+           "part=0>2@5",    // No +DUR.
+           "ctrldrop=0@20",  // ctrldrop is a count.
+           "seed=",         //
+           "kill=1",        // No @MS.
+           "kill=x@5",      //
+           "kill=1@5ms",    // Units are not part of the grammar.
+           "spillwrite=2",  //
+           "yield=-0.1",    //
+           "storm=0.1",     // No :BURST.
+           "7x",            // Neither a seed nor a clause.
+       }) {
+    err.clear();
+    EXPECT_FALSE(FaultPlan::FromSpec(spec, &plan, &err)) << spec;
+    EXPECT_FALSE(err.empty()) << spec;
+  }
+  // An empty spec is a valid no-op plan.
+  ASSERT_TRUE(FaultPlan::FromSpec("", &plan, &err));
+  EXPECT_EQ(plan, FaultPlan{});
+  // A bare integer is that seed's derived plan.
+  EXPECT_EQ(Parse("7"), FaultPlan::FromSeed(7));
+}
+
+TEST(FaultPlanTest, FromSeedIsDeterministicAndModerate) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const FaultPlan a = FaultPlan::FromSeed(seed);
+    ASSERT_EQ(a, FaultPlan::FromSeed(seed));
+    // Never node faults or read faults; corrupt and truncate sever
+    // connections, so they are opt-in through a spec too.
+    EXPECT_TRUE(a.node.empty());
+    EXPECT_DOUBLE_EQ(a.spill.read_p, 0.0);
+    EXPECT_EQ(a.spill.every_nth, 0);
+    EXPECT_DOUBLE_EQ(a.net.corrupt, 0.0);
+    EXPECT_DOUBLE_EQ(a.net.truncate, 0.0);
+    // Schedule and spill intensities stay in ranges jobs complete under.
+    EXPECT_GE(a.schedule.yield_p, 0.05);
+    EXPECT_LE(a.schedule.yield_p, 0.40);
+    EXPECT_LE(a.schedule.sleep_p, 0.05);
+    EXPECT_GE(a.schedule.max_sleep_us, 1);
+    EXPECT_LE(a.schedule.max_sleep_us, 100);
+    EXPECT_LE(a.schedule.pressure_flip_p, 0.10);
+    EXPECT_LE(a.schedule.signal_storm_p, 0.20);
+    EXPECT_GE(a.schedule.signal_storm_burst, 1);
+    EXPECT_LE(a.schedule.signal_storm_burst, 4);
+    EXPECT_LE(a.schedule.forced_ome_p, 0.05);
+    EXPECT_LE(a.schedule.shuffle_delay_p, 0.25);
+    EXPECT_GE(a.schedule.shuffle_delay_max_us, 1);
+    EXPECT_LE(a.schedule.shuffle_delay_max_us, 300);
+    EXPECT_LE(a.spill.write_p, 0.05);
+    // Net probabilities stay inside the moderate bands the ledger absorbs.
+    EXPECT_GE(a.net.drop, 0.01);
+    EXPECT_LE(a.net.drop, 0.05);
+    EXPECT_GE(a.net.duplicate, 0.01);
+    EXPECT_LE(a.net.duplicate, 0.05);
+    EXPECT_GE(a.net.reorder, 0.02);
+    EXPECT_LE(a.net.reorder, 0.08);
+    EXPECT_GT(a.net.reset, 0.0);
+    EXPECT_LE(a.net.reset, 0.01);
+    ASSERT_EQ(a.net.partitions.size(), 1u);
+    EXPECT_FALSE(a.net.partitions[0].two_way);
+    EXPECT_GT(a.net.partitions[0].duration_ms, 0.0);  // Always heals.
+  }
+  EXPECT_NE(FaultPlan::FromSeed(7), FaultPlan::FromSeed(8));
+  // Seed 0 keeps seed 1's network intensities instead of a degenerate plan.
+  EXPECT_EQ(FaultPlan::FromSeed(0).net, FaultPlan::FromSeed(1).net);
+}
+
+TEST(FaultPlanTest, RejectsFaultsThatCannotFire) {
+  EXPECT_NO_THROW(Parse("kill=1@5,part=-1>*@0+5").CheckFires(2, true));
+  EXPECT_THROW(Parse("kill=7@5").CheckFires(2, true), std::invalid_argument);
+  EXPECT_THROW(Parse("hang=-1@5").CheckFires(2, true), std::invalid_argument);
+  EXPECT_THROW(Parse("kill=1@5").CheckFires(2, false), std::invalid_argument);
+  EXPECT_THROW(Parse("part=0>2@5+5").CheckFires(2, true), std::invalid_argument);
+  EXPECT_THROW(Parse("part=-2<>*@5+5").CheckFires(2, false), std::invalid_argument);
+  EXPECT_NO_THROW(FaultPlan::FromSeed(3).CheckFires(4, false));
+}
+
 TEST(ScheduleFuzzerTest, FaultDrawsReplayAcrossInstances) {
-  FuzzConfig fc;
-  fc.seed = 7;
+  ScheduleFaults fc;
   fc.shuffle_delay_p = 0.5;
   fc.forced_ome_p = 0.5;
   std::vector<std::uint64_t> first;
   {
-    ScheduleFuzzer fz(fc);
+    ScheduleFuzzer fz(fc, /*seed=*/7);
     Install(&fz);
     for (int i = 0; i < 64; ++i) {
       first.push_back(fz.DrawShuffleDelayUs());
@@ -93,7 +249,7 @@ TEST(ScheduleFuzzerTest, FaultDrawsReplayAcrossInstances) {
   }
   std::vector<std::uint64_t> second;
   {
-    ScheduleFuzzer fz(fc);
+    ScheduleFuzzer fz(fc, /*seed=*/7);
     Install(&fz);
     for (int i = 0; i < 64; ++i) {
       second.push_back(fz.DrawShuffleDelayUs());
@@ -107,7 +263,7 @@ TEST(ScheduleFuzzerTest, FaultDrawsReplayAcrossInstances) {
 TEST(ChaosPointTest, NoOpWhenNoFuzzerInstalled) {
   // The macro must be safe (and cheap) on every hot path when idle.
   CHAOS_POINT("test.idle");
-  ScheduleFuzzer fz(FuzzConfig{});
+  ScheduleFuzzer fz(ScheduleFaults{}, /*seed=*/0);
   Install(&fz);
   CHAOS_POINT("test.active");
   Uninstall();

@@ -378,9 +378,9 @@ TEST(AsyncSpillCancelTest, ImmediateLoadCancelsQueuedWrite) {
 TEST(AsyncSpillFailureTest, FailedWriteSurfacesOnceThenServesFromCache) {
   for (int pool : {0, 1}) {
     SpillManager spill(std::filesystem::temp_directory_path(), "io-fail", pool);
-    serde::SpillFailureInjection inject;
-    inject.write_probability = 1.0;
-    spill.SetFailureInjection(inject);
+    chaos::SpillFaults faults;
+    faults.write_p = 1.0;
+    spill.SetFaults(faults);
 
     common::Rng rng(4);
     const common::ByteBuffer payload = RunnyBuffer(rng, 4 << 10);
@@ -412,12 +412,12 @@ TEST(AsyncSpillFailureTest, InjectedReadFailureIsRetryable) {
     const auto id = spill.Spill(payload);
     spill.Drain();  // Durable before the read injection arms.
 
-    serde::SpillFailureInjection inject;
-    inject.read_probability = 1.0;
-    spill.SetFailureInjection(inject);
+    chaos::SpillFaults faults;
+    faults.read_p = 1.0;
+    spill.SetFaults(faults);
     EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error) << "pool " << pool;
 
-    spill.SetFailureInjection(serde::SpillFailureInjection{});
+    spill.SetFaults(chaos::SpillFaults{});
     const common::ByteBuffer loaded = spill.LoadAndRemove(id);
     EXPECT_EQ(loaded.bytes(), payload.bytes()) << "pool " << pool;
     const SpillStats stats = spill.Stats();
@@ -462,11 +462,11 @@ TEST(AsyncSpillPropertyTest, AsyncMatchesSyncAcrossInterleavings) {
     SpillManager inline_store(std::filesystem::temp_directory_path(), "io-prop-inline", 0);
     SpillManager pooled_store(std::filesystem::temp_directory_path(), "io-prop-pooled", 2);
     if (round >= 4) {
-      serde::SpillFailureInjection inject;
-      inject.every_nth = 3;
-      inject.seed = 1000u + static_cast<std::uint64_t>(round);
-      inline_store.SetFailureInjection(inject);
-      pooled_store.SetFailureInjection(inject);
+      chaos::SpillFaults faults;
+      faults.every_nth = 3;
+      const std::uint64_t seed = 1000u + static_cast<std::uint64_t>(round);
+      inline_store.SetFaults(faults, seed);
+      pooled_store.SetFaults(faults, seed);
     }
 
     struct Live {

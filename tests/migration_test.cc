@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "apps/hyracks_apps.h"
-#include "cluster/failure_model.h"
+#include "chaos/chaos.h"
 #include "itask/migration.h"
 #include "itask/recovery.h"
 #include "itask/runtime.h"
@@ -387,13 +387,14 @@ namespace itask::apps {
 namespace {
 
 cluster::Cluster MakeSkewedCluster(std::uint64_t node0_heap, std::uint64_t peer_heap,
-                                   int nodes = 2) {
+                                   int nodes = 2, std::vector<chaos::NodeFault> faults = {}) {
   cluster::ClusterConfig cc;
   cc.num_nodes = nodes;
   cc.heap.capacity_bytes = node0_heap;
   cc.heap.real_pauses = false;
   cc.per_node_heap_bytes.assign(static_cast<std::size_t>(nodes), peer_heap);
   cc.per_node_heap_bytes[0] = node0_heap;
+  cc.faults.node = std::move(faults);
   return cluster::Cluster(cc);
 }
 
@@ -490,13 +491,10 @@ TEST_F(MigrationE2eTest, KillingMigrationDestinationPreservesFingerprint) {
 
   // Three nodes: node 0 pressured, nodes 1-2 are destinations; node 1 dies
   // shortly into the run, while migrations toward it may be in flight.
-  cluster::FailureModel model;
-  model.ScheduleKill(1, 2.0);
   auto cluster = MakeSkewedCluster(/*node0_heap=*/448 << 10,
-                                   /*peer_heap=*/8 << 20, /*nodes=*/3);
-  AppConfig config = SkewConfig();
-  config.failure_model = &model;
-  const AppResult faulted = RunHyracksApp("WC", cluster, config, Mode::kITask);
+                                   /*peer_heap=*/8 << 20, /*nodes=*/3,
+                                   {{1, 2.0, chaos::NodeFaultKind::kKill}});
+  const AppResult faulted = RunHyracksApp("WC", cluster, SkewConfig(), Mode::kITask);
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);

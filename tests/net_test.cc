@@ -23,13 +23,13 @@
 #include <vector>
 
 #include "apps/hyracks_apps.h"
-#include "cluster/failure_model.h"
+#include "chaos/chaos.h"
 #include "io/frame_codec.h"
 #include "itask/recovery.h"
 #include "itask/typed_partition.h"
 #include "memsim/managed_heap.h"
 #include "net/ctrl.h"
-#include "net/fault_engine.h"
+#include "net/faults.h"
 #include "net/frame_socket.h"
 #include "net/job_wire.h"
 #include "net/message.h"
@@ -452,9 +452,10 @@ TEST_P(SocketTransportTest, ReconnectsAfterReceiverShedsConnection) {
   // rejects them and it drops the connection. The sender must requeue and
   // reconnect — a send failure to a still-registered endpoint is transient,
   // never peer-gone.
+  chaos::FaultPlan faults;
   std::string err;
-  ASSERT_TRUE(NetFaultPlan::FromSpec("seed=5,corrupt=0.5", &config.fault_plan, &err)) << err;
-  auto transport = MakeTransport(config);
+  ASSERT_TRUE(chaos::FaultPlan::FromSpec("seed=5,corrupt=0.5", &faults, &err)) << err;
+  auto transport = MakeTransport(config, faults);
   std::atomic<int> received{0};
   transport->RegisterEndpoint(3, [&received](Message&&) { received.fetch_add(1); });
 
@@ -490,92 +491,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, SocketTransportTest,
 
 // ---- Seeded network-fault engine (DESIGN.md §16) ----
 
-TEST(NetFaultPlan, SpecRoundTripsEveryClause) {
-  NetFaultPlan plan;
-  std::string err;
-  ASSERT_TRUE(NetFaultPlan::FromSpec(
-      "seed=42,drop=0.01,reorder=0.02,dup=0.03,corrupt=0.004,trunc=0.005,"
-      "reset=0.006,delay=0.1:2:1,part=0>2@50+100,part=*<>3@10+0,ctrldrop=1@75",
-      &plan, &err))
-      << err;
-  EXPECT_EQ(plan.seed, 42u);
-  EXPECT_DOUBLE_EQ(plan.drop, 0.01);
-  EXPECT_DOUBLE_EQ(plan.reorder, 0.02);
-  EXPECT_DOUBLE_EQ(plan.duplicate, 0.03);
-  EXPECT_DOUBLE_EQ(plan.corrupt, 0.004);
-  EXPECT_DOUBLE_EQ(plan.truncate, 0.005);
-  EXPECT_DOUBLE_EQ(plan.reset, 0.006);
-  EXPECT_DOUBLE_EQ(plan.delay, 0.1);
-  EXPECT_DOUBLE_EQ(plan.delay_ms, 2.0);
-  EXPECT_DOUBLE_EQ(plan.delay_jitter_ms, 1.0);
-  ASSERT_EQ(plan.partitions.size(), 2u);
-  EXPECT_EQ(plan.partitions[0].a, 0);
-  EXPECT_EQ(plan.partitions[0].b, 2);
-  EXPECT_FALSE(plan.partitions[0].two_way);
-  EXPECT_DOUBLE_EQ(plan.partitions[0].start_ms, 50.0);
-  EXPECT_DOUBLE_EQ(plan.partitions[0].duration_ms, 100.0);
-  EXPECT_EQ(plan.partitions[1].a, kAnyEndpoint);
-  EXPECT_EQ(plan.partitions[1].b, 3);
-  EXPECT_TRUE(plan.partitions[1].two_way);
-  EXPECT_DOUBLE_EQ(plan.partitions[1].duration_ms, 0.0);  // Never heals.
-  ASSERT_EQ(plan.ctrl_drops.size(), 1u);
-  EXPECT_EQ(plan.ctrl_drops[0].node, 1);
-  EXPECT_DOUBLE_EQ(plan.ctrl_drops[0].at_ms, 75.0);
-  EXPECT_TRUE(plan.active());
-
-  // Describe() emits a spec that parses back into the identical plan.
-  NetFaultPlan back;
-  ASSERT_TRUE(NetFaultPlan::FromSpec(plan.Describe(), &back, &err)) << err;
-  EXPECT_EQ(back.Describe(), plan.Describe());
-}
-
-TEST(NetFaultPlan, RejectsMalformedClauses) {
-  NetFaultPlan plan;
-  std::string err;
-  EXPECT_FALSE(NetFaultPlan::FromSpec("drop=1.5", &plan, &err));  // P > 1.
-  EXPECT_FALSE(NetFaultPlan::FromSpec("drop=x", &plan, &err));
-  EXPECT_FALSE(NetFaultPlan::FromSpec("bogus=1", &plan, &err));
-  EXPECT_FALSE(NetFaultPlan::FromSpec("noequals", &plan, &err));
-  EXPECT_FALSE(NetFaultPlan::FromSpec("delay=0.1", &plan, &err));  // No MS.
-  EXPECT_FALSE(NetFaultPlan::FromSpec("part=0-2@5+5", &plan, &err));
-  EXPECT_FALSE(NetFaultPlan::FromSpec("part=0>2@5", &plan, &err));  // No +DUR.
-  EXPECT_FALSE(NetFaultPlan::FromSpec("ctrldrop=1", &plan, &err));
-  EXPECT_FALSE(NetFaultPlan::FromSpec("seed=", &plan, &err));
-  EXPECT_FALSE(err.empty());
-  // An empty spec is a valid no-op plan.
-  ASSERT_TRUE(NetFaultPlan::FromSpec("", &plan, &err));
-  EXPECT_FALSE(plan.active());
-}
-
-TEST(NetFaultPlan, FromSeedIsDeterministicAndModerate) {
-  const NetFaultPlan a = NetFaultPlan::FromSeed(7);
-  EXPECT_EQ(a.Describe(), NetFaultPlan::FromSeed(7).Describe());
-  EXPECT_NE(a.Describe(), NetFaultPlan::FromSeed(8).Describe());
-  EXPECT_TRUE(a.active());
-  // Seeded plans never sever connections via corrupt/truncate — those are
-  // opt-in through an explicit spec.
-  EXPECT_DOUBLE_EQ(a.corrupt, 0.0);
-  EXPECT_DOUBLE_EQ(a.truncate, 0.0);
-  // Probabilities stay inside the moderate bands the ledger absorbs.
-  EXPECT_GE(a.drop, 0.01);
-  EXPECT_LE(a.drop, 0.05);
-  EXPECT_GE(a.duplicate, 0.01);
-  EXPECT_LE(a.duplicate, 0.05);
-  EXPECT_GE(a.reorder, 0.02);
-  EXPECT_LE(a.reorder, 0.08);
-  EXPECT_GT(a.reset, 0.0);
-  EXPECT_LE(a.reset, 0.01);
-  ASSERT_EQ(a.partitions.size(), 1u);
-  EXPECT_FALSE(a.partitions[0].two_way);
-  EXPECT_GT(a.partitions[0].duration_ms, 0.0);  // Always heals.
-  // Seed 0 clamps to the seed-1 plan instead of a degenerate all-zeros one.
-  EXPECT_EQ(NetFaultPlan::FromSeed(0).Describe(), NetFaultPlan::FromSeed(1).Describe());
-}
-
 TEST(NetFaultEngine, DecisionStreamIsSeedDeterministicPerLink) {
-  NetFaultPlan plan;
+  chaos::FaultPlan plan;
   std::string err;
-  ASSERT_TRUE(NetFaultPlan::FromSpec(
+  ASSERT_TRUE(chaos::FaultPlan::FromSpec(
       "seed=99,drop=0.2,reorder=0.2,dup=0.2,corrupt=0.1,trunc=0.1,reset=0.1,"
       "delay=0.3:1:0.5",
       &plan, &err))
@@ -629,10 +548,10 @@ TEST(NetFaultEngine, DecisionStreamIsSeedDeterministicPerLink) {
 }
 
 TEST(NetFaultEngine, PartitionWindowBlocksHealsAndFiresObserverEdges) {
-  NetFaultPlan plan;
+  chaos::FaultPlan plan;
   std::string err;
   // Node 1's outbound traffic black-holed from t=0 for 50ms.
-  ASSERT_TRUE(NetFaultPlan::FromSpec("part=1>*@0+50", &plan, &err)) << err;
+  ASSERT_TRUE(chaos::FaultPlan::FromSpec("part=1>*@0+50", &plan, &err)) << err;
   NetFaultEngine engine(plan);
   std::vector<std::pair<int, bool>> edges;
   engine.set_link_observer(
@@ -876,7 +795,7 @@ TEST(ShuffleFabric, ConcurrentCommitsLandExactlyOnceOverTcp) {
   NetConfig config;
   config.kind = TransportKind::kTcp;
   config.ack_timeout_ms = 60000;  // Loopback loses nothing: no resend may fire.
-  ShuffleFabric fabric(config, &rec, kNodes);
+  ShuffleFabric fabric(config, /*faults=*/{}, &rec, kNodes);
   const auto produce = [&](int producer) {
     for (const std::int64_t split : splits[producer]) {
       for (int k = 0; k < kOutputsPerSplit; ++k) {
@@ -921,6 +840,13 @@ TEST(ShuffleFabric, ConcurrentCommitsLandExactlyOnceOverTcp) {
 
 // ---- End-to-end: socket shuffle reproduces inproc fingerprints ----
 
+chaos::FaultPlan Spec(const std::string& spec) {
+  chaos::FaultPlan plan;
+  std::string err;
+  EXPECT_TRUE(chaos::FaultPlan::FromSpec(spec, &plan, &err)) << err;
+  return plan;
+}
+
 class TransportParityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -932,11 +858,10 @@ class TransportParityTest : public ::testing::Test {
     unsetenv("ITASK_SUSPECT_TIMEOUT_MS");
   }
 
+  // Runs |app| on a 4-node cluster over |kind| under the fault spec |faults|.
   static apps::AppResult RunOver(const char* app, TransportKind kind,
-                                 cluster::FailureModel* model = nullptr,
-                                 int ack_timeout_ms = 0,
-                                 std::size_t dataset_bytes = 512 << 10,
-                                 const NetFaultPlan* fault_plan = nullptr) {
+                                 const chaos::FaultPlan& faults = {}, int ack_timeout_ms = 0,
+                                 std::size_t dataset_bytes = 512 << 10) {
     cluster::ClusterConfig cc;
     cc.num_nodes = 4;
     cc.heap.capacity_bytes = 48 << 20;
@@ -945,9 +870,7 @@ class TransportParityTest : public ::testing::Test {
     if (ack_timeout_ms > 0) {
       cc.net.ack_timeout_ms = ack_timeout_ms;
     }
-    if (fault_plan != nullptr) {
-      cc.net.fault_plan = *fault_plan;
-    }
+    cc.faults = faults;
     cluster::Cluster cluster(cc);
     apps::AppConfig config;
     config.dataset_bytes = dataset_bytes;
@@ -955,7 +878,6 @@ class TransportParityTest : public ::testing::Test {
     config.max_workers = 4;
     config.granularity_bytes = 8 << 10;
     config.fault_tolerance = true;
-    config.failure_model = model;
     return apps::RunHyracksApp(app, cluster, config, apps::Mode::kITask);
   }
 };
@@ -990,14 +912,12 @@ TEST_F(TransportParityTest, LossyTcpKeepsFingerprint) {
   setenv("ITASK_HEARTBEAT_MS", "50", 1);
   constexpr std::size_t kDataset = 128 << 10;
   const apps::AppResult reference =
-      RunOver("WC", TransportKind::kInproc, /*model=*/nullptr, /*ack_timeout_ms=*/0, kDataset);
+      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, kDataset);
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  NetFaultPlan plan;
-  std::string err;
-  ASSERT_TRUE(NetFaultPlan::FromSpec("seed=10,drop=0.1,reset=0.05", &plan, &err)) << err;
-  const apps::AppResult lossy = RunOver("WC", TransportKind::kTcp, /*model=*/nullptr,
-                                        /*ack_timeout_ms=*/100, kDataset, &plan);
+  const apps::AppResult lossy = RunOver("WC", TransportKind::kTcp,
+                                        Spec("seed=10,drop=0.1,reset=0.05"),
+                                        /*ack_timeout_ms=*/100, kDataset);
   ASSERT_TRUE(lossy.metrics.succeeded) << lossy.metrics.Summary();
   EXPECT_EQ(lossy.checksum, reference.checksum);
   EXPECT_EQ(lossy.records, reference.records);
@@ -1018,18 +938,13 @@ TEST_F(TransportParityTest, SeededChaosPlanTcpKeepsFingerprint) {
   setenv("ITASK_HEARTBEAT_MS", "50", 1);
   constexpr std::size_t kDataset = 128 << 10;
   const apps::AppResult reference =
-      RunOver("WC", TransportKind::kInproc, /*model=*/nullptr, /*ack_timeout_ms=*/0, kDataset);
+      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, kDataset);
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  NetFaultPlan plan;
-  std::string err;
-  ASSERT_TRUE(NetFaultPlan::FromSpec(
-      "seed=7,drop=0.02,reorder=0.05,dup=0.03,reset=0.005,delay=0.1:1:0.5",
-      &plan, &err))
-      << err;
-  const apps::AppResult chaotic =
-      RunOver("WC", TransportKind::kTcp, /*model=*/nullptr, /*ack_timeout_ms=*/100, kDataset,
-              &plan);
+  const apps::AppResult chaotic = RunOver(
+      "WC", TransportKind::kTcp,
+      Spec("seed=7,drop=0.02,reorder=0.05,dup=0.03,reset=0.005,delay=0.1:1:0.5"),
+      /*ack_timeout_ms=*/100, kDataset);
   ASSERT_TRUE(chaotic.metrics.succeeded) << chaotic.metrics.Summary();
   EXPECT_EQ(chaotic.checksum, reference.checksum);
   EXPECT_EQ(chaotic.records, reference.records);
@@ -1051,12 +966,8 @@ TEST_F(TransportParityTest, TimedPartitionHealsWithoutReexecution) {
   const apps::AppResult reference = RunOver("WC", TransportKind::kInproc);
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  NetFaultPlan plan;
-  std::string err;
-  ASSERT_TRUE(NetFaultPlan::FromSpec("part=1>*@5+800", &plan, &err)) << err;
   const apps::AppResult cut =
-      RunOver("WC", TransportKind::kTcp, /*model=*/nullptr, /*ack_timeout_ms=*/100, 512 << 10,
-              &plan);
+      RunOver("WC", TransportKind::kTcp, Spec("part=1>*@5+800"), /*ack_timeout_ms=*/100);
   unsetenv("ITASK_DISCONNECT_GRACE_MS");
   ASSERT_TRUE(cut.metrics.succeeded) << cut.metrics.Summary();
   EXPECT_EQ(cut.checksum, reference.checksum);
@@ -1072,9 +983,7 @@ TEST_F(TransportParityTest, KilledNodeOverTcpKeepsFingerprint) {
   const apps::AppResult reference = RunOver("WC", TransportKind::kInproc);
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  cluster::FailureModel model;
-  model.ScheduleKill(1, 2.0);
-  const apps::AppResult faulted = RunOver("WC", TransportKind::kTcp, &model);
+  const apps::AppResult faulted = RunOver("WC", TransportKind::kTcp, Spec("kill=1@2"));
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);
@@ -1189,9 +1098,9 @@ TEST_F(TransportParityTest, HangedNodeOverTcpKeepsFingerprint) {
   const apps::AppResult reference = RunOver("HS", TransportKind::kInproc);
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  cluster::FailureModel model;
-  model.ScheduleHang(2, 2.0, /*silence_age_ms=*/10000.0);
-  const apps::AppResult faulted = RunOver("HS", TransportKind::kTcp, &model);
+  chaos::FaultPlan faults;
+  faults.node.push_back({2, 2.0, chaos::NodeFaultKind::kHang, /*silence_age_ms=*/10000.0});
+  const apps::AppResult faulted = RunOver("HS", TransportKind::kTcp, faults);
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);

@@ -115,16 +115,16 @@ TEST_F(PartitionTest, EnsureResidentCountsLoadRetriesAndKeepsFrameLoadable) {
   ASSERT_EQ(dp->Spill(), kTuples * 16);
   ASSERT_FALSE(dp->resident());
 
-  serde::SpillFailureInjection inject;
-  inject.read_probability = 1.0;  // Every load attempt faults.
-  spill_.SetFailureInjection(inject);
+  chaos::SpillFaults faults;
+  faults.read_p = 1.0;  // Every load attempt faults.
+  spill_.SetFaults(faults);
   EXPECT_THROW(dp->EnsureResident(), std::runtime_error);
   // 8 attempts: the first 7 failures are retried (and counted), the 8th
   // propagates.
   EXPECT_EQ(spill_.Stats().load_retries, 7u);
   EXPECT_FALSE(dp->resident());
 
-  spill_.SetFailureInjection(serde::SpillFailureInjection{});
+  spill_.SetFaults(chaos::SpillFaults{});
   dp->EnsureResident();
   EXPECT_TRUE(dp->resident());
   ASSERT_EQ(dp->TupleCount(), kTuples);
@@ -139,9 +139,9 @@ TEST_F(PartitionTest, EnsureResidentCountsLoadRetriesAndKeepsFrameLoadable) {
 TEST_F(PartitionTest, EnsureResidentRetriesThroughTransientReadFault) {
   auto dp = MakePartition(8);
 
-  serde::SpillFailureInjection inject;
-  inject.every_nth = 2;  // Ops alternate ok/fail; the retry lands on ok.
-  spill_.SetFailureInjection(inject);
+  chaos::SpillFaults faults;
+  faults.every_nth = 2;  // Ops alternate ok/fail; the retry lands on ok.
+  spill_.SetFaults(faults);
   ASSERT_GT(dp->Spill(), 0u);  // Op 1: the write, passes.
   dp->EnsureResident();        // Op 2 faults; the retry (op 3) loads clean.
   EXPECT_TRUE(dp->resident());

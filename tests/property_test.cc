@@ -369,13 +369,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerdeFuzzTest, ::testing::Values(11u, 22u, 33u, 
 
 // ---- Network-fault engine properties: every seed, every link ----
 //
-// The reproducibility contract behind `chaos_run --net-faults=<seed>`: the
-// fault decision stream for a link is a pure function of (plan seed, link,
-// frame serial) — independent of what other links do, and free of decision
+// The reproducibility contract behind `chaos_run --faults=<seed>`: the fault
+// decision stream for a link is a pure function of (plan seed, link, frame
+// serial) — independent of what other links do, and free of decision
 // combinations (a dropped frame that also duplicates) that would break the
 // ledger's (node,split,epoch,seq) dedup or the fabric's ack pairing.
 
-#include "net/fault_engine.h"
+#include "net/faults.h"
 
 namespace itask::net {
 namespace {
@@ -383,8 +383,8 @@ namespace {
 class NetFaultSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NetFaultSeedTest, SeededPlansReplayIdenticalDecisionStreams) {
-  const NetFaultPlan plan = NetFaultPlan::FromSeed(GetParam());
-  ASSERT_TRUE(plan.active());
+  const chaos::FaultPlan plan = chaos::FaultPlan::FromSeed(GetParam());
+  ASSERT_TRUE(plan.net.active());
 
   // Engine A serves four links round-robin; engine B serves them link-major.
   // Interleaving must not matter: per-link streams are keyed by serial.
@@ -425,8 +425,8 @@ TEST_P(NetFaultSeedTest, SeededPlansReplayIdenticalDecisionStreams) {
       }
       if (d.delay_ms > 0.0) {
         // Delays stay inside the plan's jitter envelope.
-        EXPECT_GE(d.delay_ms, plan.delay_ms - plan.delay_jitter_ms - 1e-9);
-        EXPECT_LE(d.delay_ms, plan.delay_ms + plan.delay_jitter_ms + 1e-9);
+        EXPECT_GE(d.delay_ms, plan.net.delay_ms - plan.net.delay_jitter_ms - 1e-9);
+        EXPECT_LE(d.delay_ms, plan.net.delay_ms + plan.net.delay_jitter_ms + 1e-9);
       }
       fired += static_cast<std::uint64_t>(d.faults);
     }

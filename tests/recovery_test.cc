@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "apps/hyracks_apps.h"
-#include "cluster/failure_model.h"
+#include "chaos/chaos.h"
 #include "itask/membership.h"
 #include "itask/recovery.h"
 #include "itask/typed_partition.h"
@@ -20,11 +20,16 @@
 namespace itask::apps {
 namespace {
 
-cluster::Cluster MakeCluster(std::uint64_t heap_bytes, int nodes = 4) {
+using chaos::NodeFault;
+using chaos::NodeFaultKind;
+
+cluster::Cluster MakeCluster(std::uint64_t heap_bytes, int nodes = 4,
+                             std::vector<NodeFault> faults = {}) {
   cluster::ClusterConfig cc;
   cc.num_nodes = nodes;
   cc.heap.capacity_bytes = heap_bytes;
   cc.heap.real_pauses = false;
+  cc.faults.node = std::move(faults);
   return cluster::Cluster(cc);
 }
 
@@ -53,12 +58,9 @@ class RecoveryTest : public ::testing::Test {
   }
 };
 
-AppResult RunFt(const char* app, const AppConfig& config,
-                cluster::FailureModel* model = nullptr) {
-  auto cluster = MakeCluster(48 << 20, 4);
-  AppConfig cfg = config;
-  cfg.failure_model = model;
-  return RunHyracksApp(app, cluster, cfg, Mode::kITask);
+AppResult RunFt(const char* app, const AppConfig& config, std::vector<NodeFault> faults = {}) {
+  auto cluster = MakeCluster(48 << 20, 4, std::move(faults));
+  return RunHyracksApp(app, cluster, config, Mode::kITask);
 }
 
 // ---- Fault-free equivalence: FT routing must not change results ----
@@ -93,12 +95,11 @@ TEST_P(KillNodeTest, KilledNodeRecoversWithIdenticalFingerprint) {
   ASSERT_GT(reference.records, 0u);
 
   for (int victim : {0, 1, 3}) {
-    cluster::FailureModel model;
     // Age the victim's last beat past the dead timeout: a killed node with
     // no work left would otherwise let the job finish before detection, and
     // nodes_failed would stay 0.
-    model.ScheduleKill(victim, 2.0, /*silence_age_ms=*/10000.0);
-    const AppResult faulted = RunFt(app, FtConfig(), &model);
+    const AppResult faulted = RunFt(
+        app, FtConfig(), {{victim, 2.0, NodeFaultKind::kKill, /*silence_age_ms=*/10000.0}});
     ASSERT_TRUE(faulted.metrics.succeeded)
         << app << " kill node " << victim << ": " << faulted.metrics.Summary();
     EXPECT_EQ(faulted.checksum, reference.checksum) << app << " kill node " << victim;
@@ -118,9 +119,7 @@ TEST_F(RecoveryTest, OomPoisonedNodeDrainsAndJobCompletes) {
   const AppResult reference = RunFt("WC", FtConfig());
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  cluster::FailureModel model;
-  model.SchedulePoison(2, 1.0);
-  const AppResult faulted = RunFt("WC", FtConfig(), &model);
+  const AppResult faulted = RunFt("WC", FtConfig(), {{2, 1.0, NodeFaultKind::kPoison}});
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);
@@ -136,12 +135,11 @@ TEST_F(RecoveryTest, HangedNodeIsDetectedAndFenced) {
   const AppResult reference = RunFt("WC", FtConfig());
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  cluster::FailureModel model;
   // Age the zombie's last beat past the dead timeout so detection fires on
   // the next poll tick deterministically — without this, a fast job completes
   // before the wall-clock silence accumulates and nodes_failed stays 0.
-  model.ScheduleHang(1, 2.0, /*silence_age_ms=*/10000.0);
-  const AppResult faulted = RunFt("WC", FtConfig(), &model);
+  const AppResult faulted = RunFt(
+      "WC", FtConfig(), {{1, 2.0, NodeFaultKind::kHang, /*silence_age_ms=*/10000.0}});
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);
@@ -157,10 +155,9 @@ TEST_F(RecoveryTest, HealedDisconnectCausesNoReexecution) {
   const AppResult reference = RunFt("WC", FtConfig());
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  cluster::FailureModel model;
-  model.ScheduleDisconnect(1, 2.0);
-  model.ScheduleHeal(1, 12.0);
-  const AppResult faulted = RunFt("WC", FtConfig(), &model);
+  const AppResult faulted = RunFt(
+      "WC", FtConfig(),
+      {{1, 2.0, NodeFaultKind::kDisconnect}, {1, 12.0, NodeFaultKind::kHeal}});
   unsetenv("ITASK_DISCONNECT_GRACE_MS");
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
@@ -179,11 +176,10 @@ TEST_F(RecoveryTest, UnhealedDisconnectExpiresGraceAndPromotesToDead) {
   const AppResult reference = RunFt("WC", FtConfig());
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  cluster::FailureModel model;
   // Never heals; age the beat past the grace so expiry doesn't race a fast
   // job (same determinism trick as HangedNodeIsDetectedAndFenced).
-  model.ScheduleDisconnect(2, 2.0, /*silence_age_ms=*/10000.0);
-  const AppResult faulted = RunFt("WC", FtConfig(), &model);
+  const AppResult faulted = RunFt(
+      "WC", FtConfig(), {{2, 2.0, NodeFaultKind::kDisconnect, /*silence_age_ms=*/10000.0}});
   unsetenv("ITASK_DISCONNECT_GRACE_MS");
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
@@ -306,6 +302,7 @@ class LedgerTest : public ::testing::Test {
       hooks.heap = n == 0 ? &heap0_ : &heap1_;
       hooks.spill = &spill_;
       hooks.push = [this, n](PartitionPtr dp) { pushed_[n].push_back(std::move(dp)); };
+      hooks.idle = [this, n] { return !busy_[n]; };
       rec_.SetNodeHooks(n, std::move(hooks));
       rec_.SetNodeSink(n, [this, n](PartitionPtr dp) { sunk_[n].push_back(std::move(dp)); });
     }
@@ -328,6 +325,7 @@ class LedgerTest : public ::testing::Test {
   RecoveryContext rec_;
   std::vector<PartitionPtr> pushed_[2];
   std::vector<PartitionPtr> sunk_[2];
+  bool busy_[2] = {false, false};  // Whether the node "runs an activation".
 };
 
 TEST_F(LedgerTest, StagedEntriesDeliverOnceOnCommit) {
@@ -634,16 +632,83 @@ TEST_F(PipelinedLedgerTest, ReexecutionUnderPressureRetriesOnLaterTicks) {
   EXPECT_FALSE(rec_.MergeSafe());
 }
 
+// A poisoned target with no activation running and committed entries pending
+// for it: it never OMEs on its own (its merges wait for these deliveries, so
+// nothing runs there). Unless the ledger drains such a target, the entry
+// retries forever and MergeSafe() never opens.
+TEST_F(PipelinedLedgerTest, IdleTargetRefusingAFullRoundIsDrained) {
+  heap1_.Poison();
+  const std::int64_t a = StageSplit(0, {1});
+  rec_.CommitEpoch(0, a, 0);  // The first attempt OMEs inside the commit.
+  const int round = InstantRetryConfig().shuffle_retries + 1;
+  for (int tick = 1; tick < 2 * round && rec_.membership().Serving(1); ++tick) {
+    rec_.Sweep();
+  }
+  ASSERT_EQ(rec_.membership().state(1), NodeLiveness::kDraining);
+  EXPECT_TRUE(pushed_[1].empty());
+  EXPECT_FALSE(rec_.MergeSafe());
+
+  // The coordinator fences the draining node; its range moves to node 0.
+  rec_.OnNodeLost(1);
+  ASSERT_EQ(pushed_[0].size(), 1u);
+  EXPECT_TRUE(rec_.MergeSafe());
+  EXPECT_EQ(rec_.stats().duplicates_dropped, 0u);
+}
+
+// Over a transport the target refuses with backpressure acks. A node that
+// runs an activation is left alone — it frees memory or OMEs on its own —
+// and so is one on which a delivery landed during the round.
+TEST_F(PipelinedLedgerTest, RefusingTargetIsDrainedOnlyWhenIdleAndNothingLands) {
+  Attach(/*ack_timeout_ms=*/60000);
+  const int round = InstantRetryConfig().shuffle_retries + 1;
+  const std::int64_t a = StageSplit(0, {1, 1});
+  rec_.CommitEpoch(0, a, 0);
+  ASSERT_EQ(sent_.size(), 2u);
+  // Answers the newest send of entry |seq| with |status|; Sweep() then
+  // resends a refused entry.
+  const auto answer = [&](std::uint64_t seq, DeliveryStatus status) {
+    for (auto it = sent_.rbegin(); it != sent_.rend(); ++it) {
+      if (it->id.seq == seq) {
+        Release(*it, status);
+        break;
+      }
+    }
+    rec_.Sweep();
+  };
+
+  busy_[1] = true;
+  for (int i = 0; i < round; ++i) {
+    answer(0, DeliveryStatus::kBackoff);
+  }
+  EXPECT_EQ(rec_.membership().state(1), NodeLiveness::kAlive);
+
+  // Idle now, but entry 1 lands during entry 0's next round: the node still
+  // takes deliveries, so refusing the rest of the round does not drain it.
+  busy_[1] = false;
+  answer(0, DeliveryStatus::kBackoff);
+  answer(1, DeliveryStatus::kDelivered);
+  for (int i = 1; i < round; ++i) {
+    answer(0, DeliveryStatus::kBackoff);
+  }
+  EXPECT_EQ(rec_.membership().state(1), NodeLiveness::kAlive);
+
+  // A whole round with nothing landing drains it.
+  for (int i = 0; i < round; ++i) {
+    answer(0, DeliveryStatus::kBackoff);
+  }
+  EXPECT_EQ(rec_.membership().state(1), NodeLiveness::kDraining);
+}
+
 }  // namespace
 }  // namespace itask::core
 
-// ---- Satellite: ITASK_IO_FAIL_READ_P must reach the spill Load path ----
+// ---- Satellite: ITASK_FAULTS' spill read faults reach the spill Load path ----
 
 namespace itask::cluster {
 namespace {
 
 TEST(IoFailEnvTest, ReadFailureEnvInjectsOnLoadPath) {
-  setenv("ITASK_IO_FAIL_READ_P", "1.0", 1);
+  setenv("ITASK_FAULTS", "spillread=1", 1);
   setenv("ITASK_IO_POOL", "0", 1);  // Synchronous I/O: failure surfaces inline.
   {
     ClusterConfig cc;
@@ -657,7 +722,7 @@ TEST(IoFailEnvTest, ReadFailureEnvInjectsOnLoadPath) {
     EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error);
     EXPECT_GE(spill.Stats().injected_failures, 1u);
   }
-  unsetenv("ITASK_IO_FAIL_READ_P");
+  unsetenv("ITASK_FAULTS");
   unsetenv("ITASK_IO_POOL");
 }
 

@@ -1,10 +1,8 @@
 // chaos_run: seeded stress sweep for the IRS interrupt/reactivation path.
 //
-// For each seed, derives a chaos::FaultPlan (schedule perturbation intensities
-// plus the unified fault set: spill-write failures, forced OMEs, pressure
-// flips, signal storms, shuffle delays), installs the schedule fuzzer, and
-// runs the selected applications on a tiny-heap cluster — small enough that
-// every run interrupts, parks, spills and reloads. After each run it checks:
+// For each sweep seed, builds the run's chaos::FaultPlan and runs the selected
+// applications under it on a tiny-heap cluster — small enough that every run
+// interrupts, parks, spills and reloads. After each run it checks:
 //
 //   - the IrsAuditor job-end invariants (conservation, partition state
 //     machine, Table-2 counter consistency) and the runtime's in-path
@@ -13,31 +11,22 @@
 //   - the job completed at all (an abort or deadline under these fault
 //     intensities means the protocol lost data or live-locked).
 //
-// Exits non-zero at the first failing seed (default) and prints the seed and
-// its fault plan so the failure replays:  chaos_run --start <seed> --seeds 1
+// Exits non-zero at the first failing seed (default) and prints a command
+// line that replays it: every sweep flag plus --faults='<that run's plan>'.
 //
-// Node faults (enables the fault-tolerance layer for every run):
-//   --kill-node=<id>@<ms>       crash node <id> at <ms> into each job
-//   --hang-node=<id>@<ms>       stop node <id>'s heartbeats (zombie)
-//   --poison-node=<id>@<ms>     every allocation on node <id> throws OME
-//   --disconnect-node=<id>@<ms> known network cut: node parks in the
-//                               kDisconnected grace window (pair with heal)
-//   --heal-node=<id>@<ms>       heals an earlier disconnect; the node rejoins
-//                               with zero lineage re-execution
-// Each fault-injected run must still reproduce the fault-free fingerprint and
-// the ledger's duplicate counter must stay zero (exactly-once delivery).
-//
-// Network faults (--net-faults=<spec|seed>, socket transports): installs a
-// seeded NetFaultEngine on every link — drop/delay/reorder/duplicate/corrupt/
-// truncate/reset probabilities plus timed partitions (see
-// net/fault_engine.h for the spec grammar; a bare integer derives a moderate
-// always-healing plan from that seed). The run must still reproduce the
-// fault-free fingerprint: loss is recovered by ledger ack-timeout
-// redelivery, resets by the send-retry backoff, partitions by the
-// kDisconnected grace window. When a plan is active the sweep also runs a
-// ctrl-plane resume slice (an in-process CtrlServer/CtrlClient pair whose
-// socket is severed per the plan's ctrldrop entries, or once by default) and
-// reports the resume count as ctrl_reconnects in the JSON summary.
+// Faults (--faults=SPEC|SEED, chaos::FaultPlan's grammar; a bare integer N is
+// FromSeed(N)). Sweep seed S fills the schedule and spill fields the spec
+// leaves unset from FromSeed(S), and seeds every decision stream unless the
+// spec names a seed; node and network faults come only from the spec. Either
+// kind enables the fault-tolerance layer, and every run must still reproduce
+// the fault-free fingerprint with a zero ledger duplicate count (plus no
+// re-executed split when the node faults are only disconnects and heals).
+// Network faults act on socket transports — loss is recovered by ack-timeout
+// redelivery, resets by send retries, partitions by the kDisconnected grace
+// window — and add a ctrl-plane resume slice (an in-process ctrl pair whose
+// socket is severed ctrldrop=N times, or once) whose resume count the JSON
+// summary reports as ctrl_reconnects. A fault that cannot fire is a usage
+// error.
 //
 // Transport (--transport=inproc|tcp|uds): socket transports route every
 // fault-injected run's shuffle deliveries, acks and heartbeats over loopback
@@ -54,21 +43,21 @@
 // Usage:
 //   chaos_run [--seeds N] [--start S] [--apps WC,HS,HJ] [--keep-going]
 //             [--heap-kb K] [--dataset-kb K] [--gran-kb K] [--nodes N]
-//             [--deadline-ms D]
-//             [--kill-node=I@MS] [--hang-node=I@MS] [--poison-node=I@MS]
-//             [--disconnect-node=I@MS] [--heal-node=I@MS]
-//             [--net-faults=SPEC|SEED]
+//             [--deadline-ms D] [--faults=SPEC|SEED]
 //             [--transport=inproc|tcp|uds] [--skew R] [--json]
+// Numeric flags parse whole; a malformed one, --nodes < 1 or --seeds < 1 is
+// a usage error (exit 2).
 //
 // --json prints one object on stdout: the sweep's settings, every RunMetrics
 // field folded over all runs (keys are the field names in common/metrics.h),
 // "per_job" with the same fields per app, "failures" and "ok".
-#include <cctype>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -77,9 +66,8 @@
 #include "apps/hyracks_apps.h"
 #include "chaos/chaos.h"
 #include "cluster/cluster.h"
-#include "cluster/failure_model.h"
+#include "common/env.h"
 #include "net/ctrl.h"
-#include "net/fault_engine.h"
 #include "net/transport.h"
 
 namespace {
@@ -94,11 +82,10 @@ struct Options {
   std::uint64_t gran_kb = 16;
   int nodes = 2;
   double deadline_ms = 60000.0;
-  std::vector<itask::cluster::NodeFault> node_faults;
   itask::net::TransportKind transport = itask::net::TransportKind::kInproc;
   double skew = 0.0;  // > 1 gives peers skew x node 0's heap (header comment).
   bool json = false;
-  itask::net::NetFaultPlan net_fault_plan;  // Inactive unless --net-faults.
+  itask::chaos::FaultPlan faults;  // --faults; sweep seeds fill the rest.
 };
 
 std::vector<std::string> SplitCsv(const char* s) {
@@ -116,111 +103,84 @@ std::vector<std::string> SplitCsv(const char* s) {
   return out;
 }
 
-// Parses "<id>@<ms>" (e.g. --kill-node=1@10).
-bool ParseNodeAt(const char* s, int* node, double* at_ms) {
-  char* end = nullptr;
-  *node = static_cast<int>(std::strtol(s, &end, 10));
-  if (end == s || *end != '@') {
-    return false;
+[[noreturn]] void UsageError(const std::string& what) {
+  std::fprintf(stderr, "chaos_run: %s\n", what.c_str());
+  std::exit(2);
+}
+
+// Numeric flag values parse whole ("1x" and "5ms" are errors) and must be at
+// least |min|.
+std::uint64_t IntFlag(const char* flag, const char* text, long long min) {
+  const auto v = itask::common::ParseInt(text);
+  if (!v || *v < min) {
+    UsageError(std::string(flag) + " wants an integer >= " + std::to_string(min) + ", got '" +
+               text + "'");
   }
-  *at_ms = std::strtod(end + 1, nullptr);
-  return true;
+  return static_cast<std::uint64_t>(*v);
+}
+
+double NumberFlag(const char* flag, const char* text) {
+  const auto v = itask::common::ParseDouble(text);
+  if (!v || *v < 0.0) {
+    UsageError(std::string(flag) + " wants a number >= 0, got '" + text + "'");
+  }
+  return *v;
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
+    // Flags that take a value accept both --flag=V and --flag V.
+    const char* arg = argv[i];
+    const char* eq = std::strchr(arg, '=');
+    const std::string flag = eq != nullptr ? std::string(arg, eq) : std::string(arg);
     auto value = [&]() -> const char* {
+      if (eq != nullptr) {
+        return eq + 1;
+      }
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "chaos_run: %s needs a value\n", argv[i]);
-        std::exit(2);
+        UsageError(flag + " needs a value");
       }
       return argv[++i];
     };
-    // Node-fault flags accept both --flag=I@MS and --flag I@MS.
-    auto fault_flag = [&](const char* name, itask::cluster::FaultKind kind) -> bool {
-      const std::size_t len = std::strlen(name);
-      const char* spec = nullptr;
-      if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-        spec = argv[i] + len + 1;
-      } else if (std::strcmp(argv[i], name) == 0) {
-        spec = value();
-      } else {
-        return false;
+    if (flag == "--faults") {
+      std::string err;
+      if (!itask::chaos::FaultPlan::FromSpec(value(), &opt->faults, &err)) {
+        UsageError(err);
       }
-      int node = 0;
-      double at_ms = 0.0;
-      if (!ParseNodeAt(spec, &node, &at_ms)) {
-        std::fprintf(stderr, "chaos_run: %s wants <id>@<ms>, got %s\n", name, spec);
-        std::exit(2);
-      }
-      opt->node_faults.push_back({node, at_ms, kind});
-      return true;
-    };
-    if (fault_flag("--kill-node", itask::cluster::FaultKind::kKill) ||
-        fault_flag("--hang-node", itask::cluster::FaultKind::kHang) ||
-        fault_flag("--poison-node", itask::cluster::FaultKind::kOomPoison) ||
-        fault_flag("--disconnect-node", itask::cluster::FaultKind::kDisconnect) ||
-        fault_flag("--heal-node", itask::cluster::FaultKind::kHeal)) {
-      continue;
-    }
-    if (std::strncmp(argv[i], "--net-faults=", 13) == 0 ||
-        std::strcmp(argv[i], "--net-faults") == 0) {
-      const char* spec = argv[i][12] == '=' ? argv[i] + 13 : value();
-      bool all_digits = *spec != '\0';
-      for (const char* p = spec; *p != '\0'; ++p) {
-        all_digits = all_digits && std::isdigit(static_cast<unsigned char>(*p)) != 0;
-      }
-      if (all_digits) {
-        opt->net_fault_plan =
-            itask::net::NetFaultPlan::FromSeed(std::strtoull(spec, nullptr, 10));
-      } else {
-        std::string err;
-        if (!itask::net::NetFaultPlan::FromSpec(spec, &opt->net_fault_plan, &err)) {
-          std::fprintf(stderr, "chaos_run: %s\n", err.c_str());
-          std::exit(2);
-        }
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--transport=", 12) == 0 ||
-        std::strcmp(argv[i], "--transport") == 0) {
-      const char* spec = argv[i][11] == '=' ? argv[i] + 12 : value();
+    } else if (flag == "--transport") {
+      const char* spec = value();
       const auto kind = itask::net::ParseTransportKind(spec);
       if (!kind.has_value()) {
-        std::fprintf(stderr, "chaos_run: --transport wants inproc|tcp|uds, got %s\n",
-                     spec);
-        std::exit(2);
+        UsageError(std::string("--transport wants inproc|tcp|uds, got ") + spec);
       }
       opt->transport = *kind;
-    } else if (std::strncmp(argv[i], "--skew=", 7) == 0) {
-      opt->skew = std::atof(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--skew") == 0) {
-      opt->skew = std::atof(value());
-    } else if (std::strcmp(argv[i], "--json") == 0) {
+    } else if (flag == "--skew") {
+      opt->skew = NumberFlag("--skew", value());
+    } else if (flag == "--json") {
       opt->json = true;
-    } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      opt->seeds = std::strtoull(value(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--start") == 0) {
-      opt->start = std::strtoull(value(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--apps") == 0) {
+    } else if (flag == "--seeds") {
+      opt->seeds = IntFlag("--seeds", value(), 1);
+    } else if (flag == "--start") {
+      opt->start = IntFlag("--start", value(), 0);
+    } else if (flag == "--apps") {
       opt->apps = SplitCsv(value());
-    } else if (std::strcmp(argv[i], "--keep-going") == 0) {
+    } else if (flag == "--keep-going") {
       opt->keep_going = true;
-    } else if (std::strcmp(argv[i], "--heap-kb") == 0) {
-      opt->heap_kb = std::strtoull(value(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--dataset-kb") == 0) {
-      opt->dataset_kb = std::strtoull(value(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--gran-kb") == 0) {
+    } else if (flag == "--heap-kb") {
+      opt->heap_kb = IntFlag("--heap-kb", value(), 1);
+    } else if (flag == "--dataset-kb") {
+      opt->dataset_kb = IntFlag("--dataset-kb", value(), 1);
+    } else if (flag == "--gran-kb") {
       // Split granularity. Migration's cost model only favors the wire above
       // ~50 KB with default knobs (the RTT dominates small payloads), so
       // skewed-pressure runs want 64 KB splits rather than the 16 KB default.
-      opt->gran_kb = std::strtoull(value(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      opt->nodes = std::atoi(value());
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      opt->deadline_ms = std::atof(value());
+      opt->gran_kb = IntFlag("--gran-kb", value(), 1);
+    } else if (flag == "--nodes") {
+      opt->nodes = static_cast<int>(IntFlag("--nodes", value(), 1));
+    } else if (flag == "--deadline-ms") {
+      opt->deadline_ms = NumberFlag("--deadline-ms", value());
     } else {
-      std::fprintf(stderr, "chaos_run: unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "chaos_run: unknown flag %s\n", arg);
       return false;
     }
   }
@@ -237,10 +197,41 @@ itask::apps::AppConfig MakeAppConfig(const Options& opt) {
   // Socket transports require the recovery context: the fabric hangs off the
   // shuffle ledger's delivery path, so every run becomes fault-tolerant.
   // Skewed-pressure runs need it too — migration ledgers through recovery.
-  config.fault_tolerance = !opt.node_faults.empty() ||
+  config.fault_tolerance = !opt.faults.node.empty() || opt.faults.net.active() ||
                            opt.transport != itask::net::TransportKind::kInproc ||
-                           opt.skew > 1.0 || opt.net_fault_plan.active();
+                           opt.skew > 1.0;
   return config;
+}
+
+// The plan sweep seed |seed| runs: the spec, with each schedule and spill
+// field it leaves at its default taken from FromSeed(seed), and |seed|
+// seeding the decision streams unless the spec names one. A field of the
+// result is at its default only if it is in FromSeed(seed) too, so the
+// result's Describe() with the same --start replays this exact plan.
+itask::chaos::FaultPlan SweepPlan(const itask::chaos::FaultPlan& spec, std::uint64_t seed) {
+  using itask::chaos::FaultPlan;
+  using Schedule = itask::chaos::ScheduleFaults;
+  using Spill = itask::chaos::SpillFaults;
+  const FaultPlan seeded = FaultPlan::FromSeed(seed);
+  const FaultPlan unset;
+  FaultPlan plan = spec;
+  plan.seed = spec.seed != 0 ? spec.seed : seed;
+  const auto fill = [&](auto section, auto field) {
+    if ((plan.*section).*field == (unset.*section).*field) {
+      (plan.*section).*field = (seeded.*section).*field;
+    }
+  };
+  for (auto field : {&Schedule::yield_p, &Schedule::sleep_p, &Schedule::pressure_flip_p,
+                     &Schedule::signal_storm_p, &Schedule::forced_ome_p,
+                     &Schedule::shuffle_delay_p}) {
+    fill(&FaultPlan::schedule, field);
+  }
+  for (auto field : {&Schedule::max_sleep_us, &Schedule::signal_storm_burst,
+                     &Schedule::shuffle_delay_max_us}) {
+    fill(&FaultPlan::schedule, field);
+  }
+  fill(&FaultPlan::spill, &Spill::write_p);  // FromSeed draws no other spill field.
+  return plan;
 }
 
 void JsonEscape(std::string* out, const std::string& s) {
@@ -252,8 +243,10 @@ void JsonEscape(std::string* out, const std::string& s) {
   }
 }
 
+// |faults| is empty for the fault-free reference runs the fingerprints come
+// from, which also run without skew.
 itask::cluster::Cluster MakeCluster(const Options& opt, std::uint64_t heap_kb,
-                                    const itask::chaos::FaultPlan* plan,
+                                    const itask::chaos::FaultPlan& faults,
                                     bool apply_skew = true) {
   itask::cluster::ClusterConfig cc;
   cc.num_nodes = opt.nodes;
@@ -268,24 +261,16 @@ itask::cluster::Cluster MakeCluster(const Options& opt, std::uint64_t heap_kb,
         static_cast<std::uint64_t>(static_cast<double>(heap_kb << 10) * opt.skew));
     cc.per_node_heap_bytes[0] = heap_kb << 10;
   }
-  if (plan != nullptr && plan->spill_write_fail_p > 0.0) {
-    cc.io.failure.write_probability = plan->spill_write_fail_p;
-    cc.io.failure.seed = plan->spill_fail_seed;
-  }
-  // Network faults apply to chaos runs only (plan != nullptr), never to the
-  // fault-free reference runs the fingerprints come from.
-  if (plan != nullptr) {
-    cc.net.fault_plan = opt.net_fault_plan;
-  }
+  cc.faults = faults;
   return itask::cluster::Cluster(cc);
 }
 
 // Ctrl-plane resume slice: an in-process driver + daemon pair whose ctrl
-// socket is severed server-side per the plan's ctrldrop entries (once, at
-// elapsed 0, when the plan has none). The daemon's heartbeat thread must
-// notice each cut and resume its session under the original node id; the
-// return value is how many resumes completed (the JSON gate asserts >= 1).
-std::uint64_t RunCtrlResumeSlice(const itask::net::NetFaultPlan& plan) {
+// socket is severed server-side |drops| times. The daemon's heartbeat thread
+// must notice each cut and resume its session under the original node id;
+// the return value is how many resumes completed (the JSON gate asserts
+// >= 1).
+std::uint64_t RunCtrlResumeSlice(int drops) {
   itask::net::CtrlServer server(0);
   itask::net::CtrlClient client;
   const int id = client.Join("127.0.0.1", server.port(), "chaos-resume-probe",
@@ -297,8 +282,7 @@ std::uint64_t RunCtrlResumeSlice(const itask::net::NetFaultPlan& plan) {
   client.StartHeartbeats(/*interval_ms=*/5,
                          [] { return std::make_pair(std::uint64_t{0},
                                                     std::uint64_t{1} << 20); });
-  std::size_t drops = plan.ctrl_drops.empty() ? 1 : plan.ctrl_drops.size();
-  for (std::size_t i = 0; i < drops; ++i) {
+  for (int i = 0; i < drops; ++i) {
     const std::uint64_t target = client.reconnects() + 1;
     server.DropPeer(id);
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -324,22 +308,35 @@ struct Failure {
   std::string what;
 };
 
-}  // namespace
+// The command line that replays one run: every sweep flag, and the run's own
+// plan as its --faults spec.
+std::string ReplayCommand(const Options& opt, std::uint64_t seed, const std::string& app,
+                          const itask::chaos::FaultPlan& plan) {
+  char flags[512];
+  std::snprintf(flags, sizeof(flags),
+                "chaos_run --start %llu --seeds 1 --apps %s --nodes %d --heap-kb %llu "
+                "--dataset-kb %llu --gran-kb %llu --deadline-ms %.17g --skew %.17g --transport=%s",
+                static_cast<unsigned long long>(seed), app.c_str(), opt.nodes,
+                static_cast<unsigned long long>(opt.heap_kb),
+                static_cast<unsigned long long>(opt.dataset_kb),
+                static_cast<unsigned long long>(opt.gran_kb), opt.deadline_ms, opt.skew,
+                itask::net::TransportKindName(opt.transport));
+  return std::string(flags) + " --faults='" + plan.Describe() + "'";
+}
 
-int main(int argc, char** argv) {
-  Options opt;
-  if (!ParseArgs(argc, argv, &opt)) {
-    return 2;
-  }
+int RunSweep(const Options& opt) {
+  const itask::apps::AppConfig app_config = MakeAppConfig(opt);
+  // A fault that could never fire is a usage error, reported before any run.
+  opt.faults.CheckFires(opt.nodes, app_config.fault_tolerance);
 
   // Reference fingerprints from fault-free, pressure-free runs (audit on:
   // the invariants must hold on the happy path too).
   itask::chaos::SetAuditEnabled(true);
   std::map<std::string, itask::apps::AppResult> reference;
   for (const std::string& app : opt.apps) {
-    auto cluster = MakeCluster(opt, /*heap_kb=*/64 << 10, nullptr, /*apply_skew=*/false);
+    auto cluster = MakeCluster(opt, /*heap_kb=*/64 << 10, {}, /*apply_skew=*/false);
     const auto result =
-        itask::apps::RunHyracksApp(app, cluster, MakeAppConfig(opt), itask::apps::Mode::kITask);
+        itask::apps::RunHyracksApp(app, cluster, app_config, itask::apps::Mode::kITask);
     if (!result.metrics.succeeded || !result.audit_violations.empty() ||
         itask::chaos::ViolationCount() > 0) {
       std::fprintf(stderr, "chaos_run: reference run for %s failed: %s\n", app.c_str(),
@@ -370,30 +367,22 @@ int main(int argc, char** argv) {
   std::uint64_t last_points = 0;
   // When every scheduled node fault is a disconnect/heal pair, the grace
   // window must absorb all of them: any lineage re-execution is spurious.
-  bool only_link_faults = !opt.node_faults.empty();
-  for (const auto& fault : opt.node_faults) {
-    only_link_faults = only_link_faults &&
-                       (fault.kind == itask::cluster::FaultKind::kDisconnect ||
-                        fault.kind == itask::cluster::FaultKind::kHeal);
-  }
+  const std::vector<itask::chaos::NodeFault>& node_faults = opt.faults.node;
+  const bool only_link_faults =
+      !node_faults.empty() &&
+      std::all_of(node_faults.begin(), node_faults.end(), [](const auto& fault) {
+        return fault.kind == itask::chaos::NodeFaultKind::kDisconnect ||
+               fault.kind == itask::chaos::NodeFaultKind::kHeal;
+      });
   for (std::uint64_t seed = opt.start; seed < opt.start + opt.seeds; ++seed) {
-    const itask::chaos::FaultPlan plan = itask::chaos::FaultPlan::FromSeed(seed);
+    const itask::chaos::FaultPlan plan = SweepPlan(opt.faults, seed);
     for (const std::string& app : opt.apps) {
-      auto cluster = MakeCluster(opt, opt.heap_kb, &plan);
-      itask::chaos::ScheduleFuzzer fuzzer(plan.fuzz);
-      itask::chaos::Install(&fuzzer);
-      itask::cluster::FailureModel failure_model;
-      for (const auto& fault : opt.node_faults) {
-        failure_model.Add(fault);
-      }
-      itask::apps::AppConfig app_config = MakeAppConfig(opt);
-      if (app_config.fault_tolerance) {
-        app_config.failure_model = &failure_model;
-      }
+      auto cluster = MakeCluster(opt, opt.heap_kb, plan);
       const auto result =
           itask::apps::RunHyracksApp(app, cluster, app_config, itask::apps::Mode::kITask);
-      itask::chaos::Uninstall();
-      last_points = fuzzer.points_hit();
+      if (const itask::chaos::ScheduleFuzzer* fuzzer = itask::chaos::Current()) {
+        last_points = fuzzer->points_hit();
+      }
       ++runs;
 
       per_job.try_emplace(app, empty).first->second.Merge(result.metrics);
@@ -431,10 +420,9 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(seed), app.c_str(), what.c_str(),
                      plan.Describe().c_str());
         if (!opt.keep_going) {
-          std::fprintf(stderr, "first failing seed: %llu (replay: chaos_run --start %llu "
-                               "--seeds 1 --apps %s)\n",
+          std::fprintf(stderr, "first failing seed: %llu (replay: %s)\n",
                        static_cast<unsigned long long>(seed),
-                       static_cast<unsigned long long>(seed), app.c_str());
+                       ReplayCommand(opt, seed, app, plan).c_str());
           return 1;
         }
       }
@@ -452,8 +440,8 @@ int main(int argc, char** argv) {
   // Ctrl-plane resume slice: exercised whenever a network-fault plan is
   // active, so the chaos gate can assert reconnects happened even though the
   // in-process sweep itself has no daemon sockets to sever.
-  if (opt.net_fault_plan.active()) {
-    const std::uint64_t reconnects = RunCtrlResumeSlice(opt.net_fault_plan);
+  if (opt.faults.net.active()) {
+    const std::uint64_t reconnects = RunCtrlResumeSlice(std::max(1, opt.faults.net.ctrl_drops));
     sweep.ctrl_reconnects += reconnects;
     if (reconnects == 0) {
       failures.push_back({0, "ctrl", "ctrl resume slice completed no reconnects"});
@@ -465,11 +453,11 @@ int main(int argc, char** argv) {
     std::string out = "{\"runs\":" + std::to_string(runs);
     out += ",\"seeds\":" + std::to_string(opt.seeds);
     out += ",\"nodes\":" + std::to_string(opt.nodes);
-    out += ",\"node_faults\":" + std::to_string(opt.node_faults.size());
+    out += ",\"node_faults\":" + std::to_string(opt.faults.node.size());
     out += std::string(",\"transport\":\"") +
            itask::net::TransportKindName(opt.transport) + "\"";
-    out += ",\"net_fault_plan\":\"";
-    JsonEscape(&out, opt.net_fault_plan.active() ? opt.net_fault_plan.Describe() : "");
+    out += ",\"faults\":\"";
+    JsonEscape(&out, opt.faults.Describe());
     out += "\",";
     sweep.AppendJson(&out);
     out += ",\"apps\":[";
@@ -510,4 +498,20 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(opt.seeds), opt.apps.size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  if (!ParseArgs(argc, argv, &opt)) {
+    return 2;
+  }
+  try {
+    return RunSweep(opt);
+  } catch (const std::invalid_argument& e) {
+    // A fault that cannot fire on these jobs (itask_job.h rejects it at job
+    // start, the sweep before its first run).
+    UsageError(e.what());
+  }
 }
