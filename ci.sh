@@ -4,9 +4,10 @@
 # core/runtime, recovery ledger, migration, chaos), a ThreadSanitizer pass
 # over the same layers plus the shuffle fabric, the ctrl plane and the
 # property suite, a chaos-smoke sweep of the schedule fuzzer
-# (tools/chaos_run) including a skewed-heap migration slice, a multi-process
-# telemetry smoke (merged cross-process trace must pair ctrl/shuffle/migration
-# flows), a multi-tenant job-service smoke under TSan, release-mode bench
+# (tools/chaos_run) including a skewed-heap migration slice and a spill
+# write/read fault sweep, a multi-process telemetry smoke (merged
+# cross-process trace must pair ctrl/shuffle/migration flows), a
+# multi-tenant job-service smoke under TSan, release-mode bench
 # smoke runs at a tiny scale (the jobsvc, net and migration benches are each
 # gated on their JSON artifacts), the overall perf gate diffing
 # BENCH_overall.json against the committed baseline, and the perfbench smoke
@@ -180,6 +181,22 @@ print("net-fault smoke ok: %d faults injected, %d ctrl reconnects, %d backoff re
       % (sum(d["net_faults_injected"] for d in docs),
          sum(d["ctrl_reconnects"] for d in docs),
          sum(d["backoff_retries"] for d in docs)))
+EOF
+
+echo "=== tier 4h: spill-fault smoke (injected spill write and read faults) ==="
+# A seed-derived fault plan never draws spill read faults, so this is the one
+# sweep that fires them end to end (DESIGN.md §9): a reload that hits a read
+# fault is retried from its segment, and a failed write is served from the
+# pending-write cache. Every run must reproduce the fault-free fingerprint,
+# and at least one reload must have been retried.
+./build/tools/chaos_run --seeds 8 --apps WC,HS,HJ \
+  --faults=spillwrite=0.05,spillread=0.05 --json | tee /tmp/itask_spill_fault_smoke.out
+python3 - /tmp/itask_spill_fault_smoke.out <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).readlines()[-1])
+assert doc["ok"] is True, "spill-fault smoke reported failures: %r" % doc["failures"]
+assert doc["load_retries"] >= 1, "no reload was retried after a read fault: %r" % doc
+print("spill-fault smoke ok: load_retries = %d over %d runs" % (doc["load_retries"], doc["runs"]))
 EOF
 
 echo "=== tier 4c: jobsvc smoke (two concurrent tenants under TSan) ==="

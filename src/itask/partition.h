@@ -145,7 +145,7 @@ class DataPartition {
   // and drops a resident payload. Used by node-failure recovery when purging
   // a dead node's queue — the data re-materializes from lineage, not from
   // here — so the counters' C1/C2 story stays exact (no stranded heap charge,
-  // no orphaned spill file).
+  // no orphaned spill frame).
   void Purge();
 
   // Consecutive zero-progress activations (OME loops); used to detect inputs

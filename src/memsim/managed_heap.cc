@@ -148,21 +148,24 @@ bool ManagedHeap::TryAllocate(std::uint64_t bytes) {
 
     // Optimistically claim the bytes; roll back on overshoot.
     const std::uint64_t new_live = live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    if (new_live + garbage_.load(std::memory_order_relaxed) > capacity) {
+    const std::uint64_t new_garbage = garbage_.load(std::memory_order_relaxed);
+    if (new_live + new_garbage > capacity) {
       live_.fetch_sub(bytes, std::memory_order_relaxed);
       // Another thread raced us past capacity; try the collection path again.
       continue;
     }
     allocated_total_.fetch_add(bytes, std::memory_order_relaxed);
     NoteJobAlloc(bytes);
-    UpdatePeaks(new_live);
+    // The pair the capacity check passed: a garbage_ read taken later could
+    // count a concurrent Free twice (its bytes left live after new_live).
+    UpdatePeaks(new_live, new_garbage);
     return true;
   }
   return false;
 }
 
-void ManagedHeap::UpdatePeaks(std::uint64_t live_now) {
-  const std::uint64_t used_now = live_now + garbage_.load(std::memory_order_relaxed);
+void ManagedHeap::UpdatePeaks(std::uint64_t live_now, std::uint64_t garbage_now) {
+  const std::uint64_t used_now = live_now + garbage_now;
   std::uint64_t peak = peak_used_.load(std::memory_order_relaxed);
   while (used_now > peak && !peak_used_.compare_exchange_weak(peak, used_now)) {
   }
@@ -189,8 +192,7 @@ void ManagedHeap::Free(std::uint64_t bytes) {
     LOG_WARN() << "ManagedHeap::Free over-release: " << bytes << " > live " << live + drop;
   }
   garbage_.fetch_add(drop, std::memory_order_relaxed);
-  NoteJobFree(drop);
-  UpdatePeaks(live_.load(std::memory_order_relaxed));
+  NoteJobFree(drop);  // Moving bytes from live to garbage raises neither peak.
 }
 
 GcEvent ManagedHeap::Collect() {

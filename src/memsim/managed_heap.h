@@ -234,7 +234,7 @@ class ManagedHeap {
   GcEvent CollectLocked();
   void NotifyListeners(const GcEvent& event);
   void WaitWhileCollecting() const;
-  void UpdatePeaks(std::uint64_t live_now);
+  void UpdatePeaks(std::uint64_t live_now, std::uint64_t garbage_now);
 
   HeapConfig config_;
   // Allocation/free are lock-free; gc_mu_ serializes collections and the

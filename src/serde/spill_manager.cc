@@ -1,8 +1,9 @@
 #include "serde/spill_manager.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
-#include <fstream>
+#include <cerrno>
 #include <memory>
 #include <stdexcept>
 #include <system_error>
@@ -16,6 +17,36 @@
 
 namespace itask::serde {
 
+namespace {
+
+// Runs |op| (::pread or ::pwrite) until all |n| bytes at |offset| moved,
+// resuming after short transfers and EINTR. Returns false with errno set on
+// failure; a transfer that makes no progress (a read past the end of the
+// file) fails with EIO.
+template <typename Op, typename Byte>
+bool TransferAll(Op op, int fd, Byte* data, std::size_t n, std::uint64_t offset) {
+  while (n > 0) {
+    const ssize_t done = op(fd, data, n, static_cast<off_t>(offset));
+    if (done < 0 && errno == EINTR) {
+      continue;
+    }
+    if (done <= 0) {
+      if (done == 0) {
+        errno = EIO;
+      }
+      return false;
+    }
+    data += done;
+    n -= static_cast<std::size_t>(done);
+    offset += static_cast<std::uint64_t>(done);
+  }
+  return true;
+}
+
+}  // namespace
+
+SpillManager::Segment::~Segment() { ::close(fd); }
+
 SpillManager::SpillManager(const std::filesystem::path& root, const std::string& node_name,
                            int pool_size)
     : executor_(pool_size) {
@@ -25,6 +56,10 @@ SpillManager::SpillManager(const std::filesystem::path& root, const std::string&
 
 SpillManager::~SpillManager() {
   Drain();
+  {
+    std::lock_guard lock(mu_);
+    segments_.clear();  // Closes every segment file.
+  }
   std::error_code ec;
   std::filesystem::remove_all(dir_, ec);
   if (ec) {
@@ -38,8 +73,8 @@ void SpillManager::SetTracer(obs::Tracer* tracer, int node_id) {
   executor_.SetTracer(tracer, node_id);
 }
 
-std::filesystem::path SpillManager::PathFor(SpillId id) const {
-  return dir_ / ("part-" + std::to_string(id) + ".bin");
+std::filesystem::path SpillManager::SegmentPath(std::uint32_t segment) const {
+  return dir_ / ("segment-" + std::to_string(segment) + ".bin");
 }
 
 void SpillManager::SetFaults(const chaos::SpillFaults& faults, std::uint64_t seed) {
@@ -118,25 +153,39 @@ SpillManager::SpillId SpillManager::Spill(common::ByteBuffer buffer, int priorit
   return id;
 }
 
-void SpillManager::WriteFile(SpillId id, const common::ByteBuffer& framed) {
+SpillManager::Extent SpillManager::WriteFrame(const common::ByteBuffer& framed) {
   common::Stopwatch watch;
-  const auto path = PathFor(id);
-  try {
-    MaybeInjectFailure(/*is_write=*/true);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("SpillManager: cannot open " + path.string());
+  MaybeInjectFailure(/*is_write=*/true);  // Before any reservation.
+  Extent extent;
+  int fd = -1;
+  {
+    std::lock_guard lock(mu_);
+    if (active_ == 0) {
+      const std::filesystem::path path = SegmentPath(next_segment_);
+      const int opened = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+      if (opened < 0) {
+        const int err = errno;
+        throw std::system_error(err, std::generic_category(),
+                                "SpillManager: cannot open " + path.string());
+      }
+      active_ = next_segment_++;
+      segments_.try_emplace(active_, opened);
     }
-    out.write(reinterpret_cast<const char*>(framed.data()),
-              static_cast<std::streamsize>(framed.size()));
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("SpillManager: write failed for " + path.string());
+    Segment& seg = segments_.at(active_);
+    extent = {active_, seg.end};
+    fd = seg.fd;
+    seg.end += framed.size();
+    ++seg.frames;
+    if (seg.end >= kSegmentBytes) {
+      active_ = 0;  // Sealed: the next write opens a new segment.
     }
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    throw;
+  }
+  if (!TransferAll(::pwrite, fd, framed.data(), framed.size(), extent.offset)) {
+    const int err = errno;
+    ReleaseFrame(extent.segment);
+    throw std::system_error(err, std::generic_category(),
+                            "SpillManager: write failed in " +
+                                SegmentPath(extent.segment).string());
   }
   const double write_ms = watch.ElapsedMs();
   {
@@ -146,6 +195,31 @@ void SpillManager::WriteFile(SpillId id, const common::ByteBuffer& framed) {
   if (tracer_ != nullptr) {
     tracer_->Emit(obs::EventKind::kSpillWrite, trace_node_, framed.size());
   }
+  return extent;
+}
+
+void SpillManager::ReleaseFrame(std::uint32_t segment) {
+  std::unordered_map<std::uint32_t, Segment>::node_type drained;
+  {
+    std::lock_guard lock(mu_);
+    auto it = segments_.find(segment);
+    if (--it->second.frames > 0) {
+      return;
+    }
+    if (segment == active_) {
+      // Truncate under mu_: a writer that reserves offset 0 next must not
+      // have its frame cut off.
+      it->second.end = 0;
+      if (::ftruncate(it->second.fd, 0) != 0) {
+        LOG_WARN() << "failed to truncate spill segment " << SegmentPath(segment).string();
+      }
+      return;
+    }
+    drained = segments_.extract(it);
+  }
+  // No frame refers to |drained| any more: unlink it, and close it on return.
+  std::error_code ec;
+  std::filesystem::remove(SegmentPath(segment), ec);
 }
 
 void SpillManager::RunWrite(SpillId id) {
@@ -164,16 +238,17 @@ void SpillManager::RunWrite(SpillId id) {
   CHAOS_POINT("io.write.claimed");
 
   io::FrameInfo info{};
+  Extent extent;
   std::exception_ptr error;
   try {
     common::ByteBuffer framed;
     info = io::FrameCodec::Encode(raw, &framed);
-    WriteFile(id, framed);
+    extent = WriteFrame(framed);
   } catch (...) {
     error = std::current_exception();
   }
 
-  // The file is durable (or the write failed) but the entry still says
+  // The frame is durable (or the write failed) but the entry still says
   // kWriting until the commit below.
   CHAOS_POINT("io.write.commit");
   bool orphaned = false;
@@ -181,7 +256,7 @@ void SpillManager::RunWrite(SpillId id) {
     std::lock_guard lock(mu_);
     auto it = entries_.find(id);
     if (it == entries_.end()) {
-      orphaned = true;  // Removed while writing; drop the file below.
+      orphaned = true;  // Removed while writing; release the frame below.
     } else if (error != nullptr) {
       it->second.state = State::kFailed;
       it->second.error = error;
@@ -190,6 +265,7 @@ void SpillManager::RunWrite(SpillId id) {
     } else {
       it->second.state = State::kDurable;
       it->second.framed_size = info.framed_bytes;
+      it->second.extent = extent;
     }
     if (error == nullptr) {
       stats_.raw_bytes += info.raw_bytes;
@@ -201,33 +277,22 @@ void SpillManager::RunWrite(SpillId id) {
     return;
   }
   if (orphaned) {
-    std::error_code ec;
-    std::filesystem::remove(PathFor(id), ec);
+    ReleaseFrame(extent.segment);
   }
   if (tracer_ != nullptr) {
     tracer_->Emit(obs::EventKind::kIoCodec, trace_node_, info.raw_bytes, info.framed_bytes);
   }
 }
 
-common::ByteBuffer SpillManager::ReadFile(SpillId id, std::uint64_t bytes) {
+common::ByteBuffer SpillManager::ReadFrame(int fd, std::uint64_t offset, std::uint64_t bytes) {
   common::Stopwatch watch;
-  // Injected read failures fire before the file is touched, so the spill
+  // Injected read failures fire before the segment is touched, so the spill
   // stays loadable on retry.
   MaybeInjectFailure(/*is_write=*/false);
-  const auto path = PathFor(id);
   std::vector<std::uint8_t> data(bytes);
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("SpillManager: cannot open " + path.string());
-    }
-    in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(bytes));
-    if (static_cast<std::uint64_t>(in.gcount()) != bytes) {
-      throw std::runtime_error("SpillManager: short read from " + path.string());
-    }
+  if (!TransferAll(::pread, fd, data.data(), data.size(), offset)) {
+    throw std::system_error(errno, std::generic_category(), "SpillManager: read failed");
   }
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
   const double read_ms = watch.ElapsedMs();
   {
     std::lock_guard lock(mu_);
@@ -301,18 +366,21 @@ common::ByteBuffer SpillManager::LoadInternal(SpillId id, obs::IoLoadSource* sou
   }
 
   // Durable: claim the entry, read outside the lock, reinsert on failure so
-  // a read fault leaves the spill loadable.
+  // a read fault leaves the spill loadable. The entry's frame holds its
+  // segment open until it is released.
   Entry entry = std::move(it->second);
   entries_.erase(it);
+  const int fd = segments_.at(entry.extent.segment).fd;
   lock.unlock();
   common::ByteBuffer framed;
   try {
-    framed = ReadFile(id, entry.framed_size);
+    framed = ReadFrame(fd, entry.extent.offset, entry.framed_size);
   } catch (...) {
     std::lock_guard relock(mu_);
     entries_.emplace(id, std::move(entry));
     throw;
   }
+  ReleaseFrame(entry.extent.segment);
   common::ByteBuffer raw;
   io::FrameCodec::Decode(framed, &raw);
   {
@@ -369,7 +437,7 @@ void SpillManager::RecordStall(std::uint64_t stall_ns, std::uint64_t bytes,
 }
 
 void SpillManager::Remove(SpillId id) {
-  bool durable = false;
+  std::uint32_t durable_segment = 0;
   {
     std::lock_guard lock(mu_);
     auto it = entries_.find(id);
@@ -380,14 +448,15 @@ void SpillManager::Remove(SpillId id) {
     if (entry.state == State::kQueued && entry.job != 0) {
       executor_.TryCancel(entry.job);  // Best effort; the body no-ops anyway.
     }
-    // kWriting: the write's epilogue sees the entry gone and removes the
-    // file it just made durable.
-    durable = entry.state == State::kDurable;
+    // kWriting: the write's epilogue sees the entry gone and releases the
+    // frame it just made durable.
+    if (entry.state == State::kDurable) {
+      durable_segment = entry.extent.segment;
+    }
     entries_.erase(it);
   }
-  if (durable) {
-    std::error_code ec;
-    std::filesystem::remove(PathFor(id), ec);
+  if (durable_segment != 0) {
+    ReleaseFrame(durable_segment);
   }
 }
 
@@ -395,9 +464,9 @@ SpillStats SpillManager::Stats() const {
   std::lock_guard lock(mu_);
   SpillStats stats = stats_;
   stats.load_retries = load_retries_.load(std::memory_order_relaxed);
-  stats.live_files = entries_.size();
+  stats.live_spills = entries_.size();
   for (const auto& [id, entry] : entries_) {
-    stats.live_file_bytes += entry.raw_size;
+    stats.live_bytes += entry.raw_size;
   }
   stats.read_stall = read_stall_.snapshot();
   return stats;

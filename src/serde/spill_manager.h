@@ -5,9 +5,18 @@
 // Spill() caches the payload, queues a background write on the store's own
 // io::IoExecutor and returns at once, so the caller's heap charge is released
 // while the bytes drain to disk behind compute. The write frames the payload
-// through io::FrameCodec (checksummed, stored verbatim) into one file named
-// by the spill's id. A pool size of zero runs every write and load inline on
-// the caller's thread with the same semantics.
+// through io::FrameCodec (checksummed, stored verbatim) and appends the frame
+// to the node's active segment file: it reserves (segment, offset, length)
+// under the store's mutex and pwrites outside it, in parallel with other
+// writers. A load preads that range back. A pool size of zero runs every write
+// and load inline on the caller's thread with the same semantics.
+//
+// Segments: the first opens on the first write (construction touches no
+// segment). A segment is sealed once it reaches kSegmentBytes and the next
+// write opens a new one. A sealed segment is closed and unlinked once every
+// frame in it has been loaded or removed; the active segment, once empty, is
+// rewound to offset 0 and truncated instead. So a store whose spills have all
+// been loaded or removed holds no bytes on disk.
 //
 // Each id names one entry that moves queued -> writing -> durable | failed:
 //  - queued: the payload is cached and the write is cancellable. Loading it
@@ -15,19 +24,21 @@
 //    so a spill-then-reload thrash cycle (the paper's §6.2 pathology) never
 //    touches the disk.
 //  - writing: a worker claimed the write; a load waits for it to settle.
-//  - durable: the frame is on disk; a load reads, unframes and deletes it.
+//  - durable: the frame is in a segment; a load reads, unframes and releases
+//    it.
 //  - failed: the write errored (real or injected) and the payload stays
 //    cached. The next load rethrows the error once, and a retry is served
 //    from the cache, so no data is lost or double-counted.
 //
 // Fault injection: SetFaults arms the spill section of a chaos::FaultPlan
-// (probability per op, or every nth op) on the file write and/or file read so
-// tests and fault plans can force spill I/O errors. A failed write removes
-// its partial file; an injected read fault fires before any state moves, so
-// the spill stays loadable.
+// (probability per op, or every nth op) on the frame write and/or read so
+// tests and fault plans can force spill I/O errors. An injected write fault
+// fires before any reservation, and a real pwrite failure releases its
+// reservation; an injected read fault fires before the pread and before any
+// state moves, so the spill (and its segment) stays loadable.
 //
 // Stats() byte counters are raw payload sizes, independent of the codec;
-// write_ms/read_ms time only the file write and read.
+// write_ms/read_ms time only the segment write and read.
 #ifndef ITASK_SERDE_SPILL_MANAGER_H_
 #define ITASK_SERDE_SPILL_MANAGER_H_
 
@@ -54,8 +65,8 @@ struct SpillStats {
   std::uint64_t loaded_bytes = 0;
   std::uint64_t spill_count = 0;
   std::uint64_t load_count = 0;
-  std::uint64_t live_files = 0;         // Spills not yet loaded or removed.
-  std::uint64_t live_file_bytes = 0;
+  std::uint64_t live_spills = 0;        // Spills not yet loaded or removed.
+  std::uint64_t live_bytes = 0;         // Their raw payload bytes.
   std::uint64_t injected_failures = 0;  // Faults fired by the injection point.
   std::uint64_t load_retries = 0;       // Reloads re-attempted after a read fault.
   double write_ms = 0.0;
@@ -77,9 +88,12 @@ class SpillManager {
  public:
   using SpillId = std::uint64_t;
 
+  // A segment is sealed once its frames reach this many bytes.
+  static constexpr std::uint64_t kSegmentBytes = 16ULL << 20;
+
   // Creates (and owns) a fresh directory under |root| and an I/O pool of
   // |pool_size| workers (0 = inline). The destructor drains queued writes,
-  // then removes the directory and every remaining file.
+  // closes every segment and removes the directory.
   SpillManager(const std::filesystem::path& root, const std::string& node_name,
                int pool_size = 0);
   ~SpillManager();
@@ -115,7 +129,7 @@ class SpillManager {
   // Blocks until every queued and in-flight write is durable (or failed).
   void Drain() { executor_.Drain(); }
 
-  // Arms |faults| on this store's file writes and reads. Probabilities draw
+  // Arms |faults| on this store's frame writes and reads. Probabilities draw
   // from a private stream seeded with |seed|, so a run replays its faults.
   void SetFaults(const chaos::SpillFaults& faults, std::uint64_t seed = 0);
 
@@ -134,32 +148,58 @@ class SpillManager {
  private:
   enum class State : std::uint8_t { kQueued, kWriting, kDurable, kFailed };
 
+  // Where a durable frame lives.
+  struct Extent {
+    std::uint32_t segment = 0;
+    std::uint64_t offset = 0;
+  };
+
   struct Entry {
     State state = State::kQueued;
     common::ByteBuffer raw;            // Cached payload until durable.
     std::uint64_t raw_size = 0;        // Payload size, valid in every state.
-    std::uint64_t framed_size = 0;     // File size once durable.
+    std::uint64_t framed_size = 0;     // Frame size once durable.
+    Extent extent;                     // Frame location once durable.
     io::IoExecutor::JobId job = 0;     // 0 until Spill's submit returns.
     std::exception_ptr error;          // Set in kFailed until surfaced once.
   };
 
-  std::filesystem::path PathFor(SpillId id) const;
+  // One append-only file of frames. Every reserved frame (being written,
+  // durable, or being read) holds it open; see ReleaseFrame. Every segment
+  // but the active one is sealed.
+  struct Segment {
+    explicit Segment(int file) : fd(file) {}
+    ~Segment();
+    Segment(const Segment&) = delete;
+    Segment& operator=(const Segment&) = delete;
+
+    const int fd;
+    std::uint64_t end = 0;     // Next free offset.
+    std::uint64_t frames = 0;  // Reserved frames not yet loaded or removed.
+  };
+
+  std::filesystem::path SegmentPath(std::uint32_t segment) const;
 
   // Background write body for |id|.
   void RunWrite(SpillId id);
 
-  // Writes |framed| to |id|'s file, removing any partial file on failure.
-  void WriteFile(SpillId id, const common::ByteBuffer& framed);
+  // Reserves room for |framed| in the active segment (opening one if needed)
+  // and pwrites it there. A failed pwrite releases its reservation.
+  Extent WriteFrame(const common::ByteBuffer& framed);
 
-  // Reads |bytes| from |id|'s file and deletes it.
-  common::ByteBuffer ReadFile(SpillId id, std::uint64_t bytes);
+  // Preads |bytes| at |offset| of the segment file |fd|.
+  common::ByteBuffer ReadFrame(int fd, std::uint64_t offset, std::uint64_t bytes);
+
+  // Drops one frame's hold on |segment|: the last frame of a sealed segment
+  // unlinks it, and the last frame of the active segment rewinds it.
+  void ReleaseFrame(std::uint32_t segment);
 
   // LoadAndRemove without stall accounting (shared with LoadAsync).
   common::ByteBuffer LoadInternal(SpillId id, obs::IoLoadSource* source);
 
   void RecordStall(std::uint64_t stall_ns, std::uint64_t bytes, obs::IoLoadSource source);
 
-  // Fires the injected fault for one file write/read if armed. Throws
+  // Fires the injected fault for one frame write/read if armed. Throws
   // std::runtime_error (after counting the failure) when the op must fail.
   void MaybeInjectFailure(bool is_write);
 
@@ -167,10 +207,13 @@ class SpillManager {
   std::uint16_t trace_node_ = 0;
   std::filesystem::path dir_;
 
-  mutable std::mutex mu_;             // Guards entries_, next_id_, stats_, faults_.
+  mutable std::mutex mu_;  // Guards entries_, next_id_, segments_, active_, stats_, faults_.
   std::condition_variable state_cv_;  // Signalled when a write settles.
   std::unordered_map<SpillId, Entry> entries_;
   SpillId next_id_ = 1;
+  std::unordered_map<std::uint32_t, Segment> segments_;
+  std::uint32_t active_ = 0;  // Segment that takes the next frame; 0 = none yet.
+  std::uint32_t next_segment_ = 1;
   SpillStats stats_;
 
   chaos::SpillFaults faults_;

@@ -156,6 +156,60 @@ TEST(ManagedHeapTest, ConcurrentAllocFreeBalances) {
   EXPECT_EQ(heap.garbage_bytes(), 0u);
 }
 
+// TryAllocate passes WaitWhileCollecting() and then claims without gc_mu_,
+// so a claim can land inside Collect()'s pause (DESIGN.md §5). The
+// accounting tolerates it: Collect subtracts exactly the garbage it scanned.
+TEST(ManagedHeapTest, ClaimsRacingCollectionsKeepAccountingExact) {
+  constexpr std::uint64_t kCapacity = 4 << 20;
+  ManagedHeap heap(FastConfig(kCapacity));
+  constexpr int kMutators = 4;
+  constexpr int kOps = 20'000;
+  std::atomic<int> running{kMutators};
+  std::atomic<std::uint64_t> outstanding{0};
+  std::atomic<std::uint64_t> max_garbage{0};
+  std::vector<std::thread> mutators;
+  for (int t = 0; t < kMutators; ++t) {
+    mutators.emplace_back([&, t] {
+      std::uint64_t x = 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(t + 1);
+      std::vector<std::uint64_t> held;
+      for (int op = 0; op < kOps; ++op) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const std::uint64_t bytes = 64 + x % 8192;
+        if (held.size() < 64 && x % 3 != 0) {
+          if (heap.TryAllocate(bytes)) {
+            held.push_back(bytes);
+            outstanding.fetch_add(bytes);
+          }
+        } else if (!held.empty()) {
+          heap.Free(held.back());
+          outstanding.fetch_sub(held.back());
+          held.pop_back();
+        }
+        const std::uint64_t garbage = heap.garbage_bytes();
+        std::uint64_t seen = max_garbage.load();
+        while (garbage > seen && !max_garbage.compare_exchange_weak(seen, garbage)) {
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::thread collector([&] {
+    while (running.load() > 0) {
+      heap.Collect();
+    }
+  });
+  for (auto& t : mutators) {
+    t.join();
+  }
+  collector.join();
+  EXPECT_EQ(heap.live_bytes(), outstanding.load());
+  EXPECT_LE(max_garbage.load(), kCapacity);  // A wrapped counter reads near 2^64.
+  EXPECT_LE(heap.Stats().peak_used_bytes, kCapacity);
+  EXPECT_GT(heap.Stats().gc_count, 0u);
+}
+
 TEST(HeapChargeTest, ReleasesOnDestruction) {
   ManagedHeap heap(FastConfig(1 << 20));
   {
