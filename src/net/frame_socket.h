@@ -4,7 +4,7 @@
 // path is an incremental FrameReader: feed it whatever recv() returned — half
 // a length prefix, three frames and a tail, one byte at a time — and it emits
 // each complete decoded payload exactly once. The FrameCodec layer inside the
-// frame carries the FNV-1a checksum, so a bit flip on the wire (or a framing
+// frame carries the payload checksum, so a bit flip on the wire (or a framing
 // bug) surfaces as a decode error, never as silent payload corruption.
 //
 // FrameSocket is the blocking convenience wrapper both the TCP transport and
