@@ -10,7 +10,7 @@
 //     tenant whose completion times measure how well per-job budgets isolate
 //     it from the storm next door.
 //
-// Emits BENCH_jobsvc.json (override with ITASK_BENCH_JSON): one object with
+// Emits BENCH_jobsvc.json in the working directory: one object with
 // aggregate throughput plus per-tenant completion-latency rows (p50/p99 of
 // submit -> done, which includes admission queueing). With a handful of jobs
 // per tenant the p99 is the max — honest at this scale, and stable because
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -83,8 +82,7 @@ int main() {
   svc_config.max_concurrent = 2;   // The two tenants genuinely overlap.
   svc_config.overcommit = 1.0;
   svc_config.worker_slots = 8;
-  itask::jobsvc::JobService service(cluster,
-                                    itask::jobsvc::JobServiceConfig::FromEnv(svc_config));
+  itask::jobsvc::JobService service(cluster, svc_config);
 
   // The storm tenant's working set is ~2.5x its budget (it will shed under
   // pressure); the victim fits comfortably inside its own budget.
@@ -179,8 +177,7 @@ int main() {
   }
 
   const itask::jobsvc::JobService::Stats stats = service.stats();
-  const char* env = std::getenv("ITASK_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_jobsvc.json";
+  const std::string path = "BENCH_jobsvc.json";
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_jobsvc: cannot open %s\n", path.c_str());

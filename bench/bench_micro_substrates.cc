@@ -93,14 +93,15 @@ void BM_PartitionSpillLoad(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) * 16);
 }
-BENCHMARK(BM_PartitionSpillLoad)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_PartitionSpillLoad)->Arg(1024)->Arg(16384)->UseRealTime();
 
 // Spill/load throughput of the spill store. Each iteration spills a batch of
 // 64KB blocks and loads them all back. Arg = I/O pool size: 0 frames and
 // writes inline on the caller's thread; a pool overlaps framing + segment
 // writes with the submission loop and serves quick re-loads from the
 // pending-write cache. The Drained arm waits for every write before the
-// loads, so each load reads its frame back from disk.
+// loads, so each load reads its frame back from disk. Rates divide by wall
+// time: with a pool, the I/O threads' CPU time is not the main thread's.
 common::ByteBuffer SpillBenchPayload() {
   // Half runs, half noise — roughly the mix serialized partitions show.
   common::Rng rng(99);
@@ -148,12 +149,12 @@ void SpillThroughput(benchmark::State& state, bool drain) {
 }
 
 void BM_SpillThroughput(benchmark::State& state) { SpillThroughput(state, /*drain=*/false); }
-BENCHMARK(BM_SpillThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SpillThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_SpillThroughputDrained(benchmark::State& state) {
   SpillThroughput(state, /*drain=*/true);
 }
-BENCHMARK(BM_SpillThroughputDrained)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SpillThroughputDrained)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // The frame checksum every spill and wire frame pays. Arg = payload bytes;
 // 47 KB is a typical spilled partition.

@@ -4,15 +4,14 @@
 // One node runs at a fraction of its peers' heap; the peers idle with
 // headroom. Each app runs twice on that topology: once with migration
 // enabled (pressured victims may ship to a peer) and once with
-// ITASK_MIGRATE_ENABLE=0 (spill-only — the pre-migration behavior). Both
+// MigrationConfig::enable off (spill-only — the pre-migration behavior). Both
 // arms must produce the same fingerprint; the headline numbers are wall
 // time, records/s, and how many bytes took the wire vs the disk.
 //
-// Emits BENCH_migration.json (or ITASK_BENCH_JSON) for the ci.sh gate.
+// Emits BENCH_migration.json in the working directory for the ci.sh gate.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,6 @@ Row RunSkewed(const char* app, bool migrate_enabled) {
   Row row;
   row.app = app;
   row.migrate_enabled = migrate_enabled;
-  setenv("ITASK_MIGRATE_ENABLE", migrate_enabled ? "1" : "0", 1);
 
   // Node 0 pressured, peer idle with headroom — the shape that makes the
   // migrate arm reachable at all (interrupted-task remainders on node 0).
@@ -61,6 +59,14 @@ Row RunSkewed(const char* app, bool migrate_enabled) {
   cc.heap.real_pauses = false;
   cc.per_node_heap_bytes = {320 << 10, 3840 << 10};
   cc.net.kind = itask::net::TransportKind::kTcp;
+  // Fast detection plus knobs that favor the wire, so the migrate arm fires
+  // whenever an eligible victim appears (same recipe as the migration tests).
+  cc.recovery.heartbeat_ms = 1.0;
+  cc.recovery.suspect_timeout_ms = 500.0;
+  cc.recovery.migration.enable = migrate_enabled;
+  cc.recovery.migration.min_bytes = 4096;
+  cc.recovery.migration.rtt_us = 10.0;
+  cc.recovery.migration.disk_mbps = 50.0;
   itask::cluster::Cluster cluster(cc);
 
   itask::apps::AppConfig ac;
@@ -92,14 +98,6 @@ Row RunSkewed(const char* app, bool migrate_enabled) {
 
 int main() {
   const double scale = itask::bench::BenchScale();
-  // Fast detection plus knobs that favor the wire, so the migrate arm fires
-  // whenever an eligible victim appears (same recipe as the migration tests).
-  setenv("ITASK_HEARTBEAT_MS", "1", 1);
-  setenv("ITASK_SUSPECT_TIMEOUT_MS", "500", 1);
-  setenv("ITASK_MIGRATE_MIN_BYTES", "4096", 1);
-  setenv("ITASK_MIGRATE_RTT_US", "10", 1);
-  setenv("ITASK_MIGRATE_DISK_MBPS", "50", 1);
-
   bool ok = true;
   std::uint64_t total_migrated = 0;
   std::string rows_json;
@@ -163,8 +161,7 @@ int main() {
     }
   }
 
-  const char* env = std::getenv("ITASK_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_migration.json";
+  const std::string path = "BENCH_migration.json";
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_migration: cannot open %s\n", path.c_str());

@@ -10,12 +10,11 @@
 //   app  — WordCount under fault tolerance on inproc vs tcp, so the wire
 //          cost shows up against a real shuffle (wall time + net counters).
 //
-// Emits BENCH_net.json (or ITASK_BENCH_JSON) for the ci.sh gate.
+// Emits BENCH_net.json in the working directory for the ci.sh gate.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,8 +254,7 @@ int main() {
     app_json += buf;
   }
 
-  const char* env = std::getenv("ITASK_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_net.json";
+  const std::string path = "BENCH_net.json";
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_net: cannot open %s\n", path.c_str());

@@ -10,7 +10,7 @@
 //   WC/tcp+ft   WordCount under fault tolerance over TCP loopback (wire +
 //               recovery counters)
 //
-// Emits BENCH_overall.json (or ITASK_BENCH_JSON): one JSON row per line
+// Emits BENCH_overall.json in the working directory: one JSON row per line
 // inside the envelope, so tools/perf_gate can diff a candidate against the
 // committed baseline line-by-line. Every row runs with tracing active so the
 // events_dropped column is live, not vacuously zero.
@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -141,8 +140,7 @@ int main() {
     rows_json += (rows_json.empty() ? "" : ",\n") + RowJson(row);
   }
 
-  const char* env = std::getenv("ITASK_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_overall.json";
+  const std::string path = "BENCH_overall.json";
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_overall: cannot open %s\n", path.c_str());

@@ -90,17 +90,15 @@ inline std::string SizeLabel(const std::string& app, std::size_t size_index) {
 }
 
 // Appends one data point to the bench's JSON-lines file so sweeps can be
-// collected and plotted. The file is <bench>.bench.jsonl in the working
-// directory (truncated on the harness's first row), or the path named by
-// ITASK_BENCH_JSON. Each row labels the point and carries every RunMetrics
-// field (RunMetrics::AppendJson).
+// collected and plotted. The file is bench_<bench>.bench.jsonl in the
+// working directory (truncated on the harness's first row). Each row labels
+// the point and carries every RunMetrics field (RunMetrics::AppendJson).
 inline void AppendBenchJsonRow(const std::string& bench, const std::string& app,
                                const std::string& label, const std::string& version,
                                const common::RunMetrics& m) {
   static std::ofstream out;
   if (!out.is_open()) {
-    const char* env = std::getenv("ITASK_BENCH_JSON");
-    const std::string path = env != nullptr ? env : "bench_" + bench + ".bench.jsonl";
+    const std::string path = "bench_" + bench + ".bench.jsonl";
     out.open(path, std::ios::trunc);
     if (!out) {
       std::fprintf(stderr, "bench: cannot open %s for JSON rows\n", path.c_str());

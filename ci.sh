@@ -19,6 +19,14 @@ echo "=== tier 1: build + full test suite ==="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+# Settings reach the system through ClusterConfig. Only the overlay that fills
+# it (src/cluster/env.cc), the strict parsers it uses and the process-wide
+# flight recorder read the environment.
+if grep -rnE '\bgetenv\(|\bEnv[A-Z][A-Za-z]*\(' src \
+    | grep -vE '^src/(cluster/env\.cc|common/env\.h|obs/flight_recorder\.cc):'; then
+  echo "ci.sh: the environment is read outside src/cluster/env.cc (see above)" >&2
+  exit 1
+fi
 
 echo "=== tier 2: ASan/UBSan on obs + io + itask + recovery + migration + chaos suites ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"

@@ -5,7 +5,6 @@
 #define ITASK_CLUSTER_CLUSTER_H_
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -14,8 +13,7 @@
 
 #include "chaos/chaos.h"
 #include "cluster/node.h"
-#include "common/env.h"
-#include "common/logging.h"
+#include "itask/recovery.h"
 #include "net/transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/tracer.h"
@@ -36,8 +34,7 @@ struct ClusterConfig {
   // Fig 11c timelines) should size this to cover the whole run; the monitor
   // emits a handful of events per tick.
   std::size_t trace_ring_capacity = obs::Tracer::kDefaultRingCapacity;
-  // Background spill I/O workers per node (0 = every spill runs inline);
-  // ITASK_IO_POOL overrides it.
+  // Background spill I/O workers per node (0 = every spill runs inline).
   int io_pool_size = 2;
   // Shuffle/control transport settings (DESIGN.md §13). kInproc keeps the
   // pre-net direct-dispatch path; kTcp/kUds route fault-tolerant jobs'
@@ -52,23 +49,31 @@ struct ClusterConfig {
   // gets the spill section, every transport its jobs build gets the net
   // section, an active schedule section installs the schedule fuzzer for the
   // cluster's lifetime, and cluster::ItaskJob applies the node section.
-  // ITASK_FAULTS (a spec or a seed) replaces it when set.
   chaos::FaultPlan faults;
+  // Failure detection, shuffle redelivery and migration settings of every
+  // fault-tolerant job run on this cluster (DESIGN.md §11, §14).
+  core::RecoveryConfig recovery;
 };
+
+// The one place the environment configures the system: each ITASK_* knob
+// that is set replaces its ClusterConfig field, and an unset or malformed
+// knob (the latter with one warning) leaves the caller's value. The
+// Cluster constructor applies it, so every process that builds a cluster —
+// a spawned node_daemon too — honors the same knobs:
+//   ITASK_FAULTS              faults (a spec or a seed)
+//   ITASK_NET_TRANSPORT       net.kind (inproc|tcp|uds)
+//   ITASK_NET_PORT            net.port
+//   ITASK_NET_BIND_HOST       net.bind_host
+//   ITASK_HEARTBEAT_MS        recovery.heartbeat_ms
+//   ITASK_SUSPECT_TIMEOUT_MS  recovery.suspect_timeout_ms
+//   ITASK_MIGRATE_MIN_BYTES   recovery.migration.min_bytes
+//   ITASK_MIGRATE_RTT_US      recovery.migration.rtt_us
+ClusterConfig ApplyEnv(ClusterConfig config);
 
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config)
-      : config_(config), tracer_(config.trace_ring_capacity) {
-    config_.net = net::NetConfigFromEnv(config.net);
-    // ITASK_FAULTS (a spec or a seed) replaces the plan. A malformed value
-    // logs one warning and is ignored, like the other ITASK_* knobs.
-    if (const std::string spec = common::EnvString("ITASK_FAULTS", ""); !spec.empty()) {
-      std::string err;
-      if (!chaos::FaultPlan::FromSpec(spec, &config_.faults, &err)) {
-        LOG_WARN() << "env: ignoring ITASK_FAULTS=\"" << spec << "\": " << err;
-      }
-    }
+      : config_(ApplyEnv(config)), tracer_(config_.trace_ring_capacity) {
     // Per-run unique spill directory (pid + process-wide run counter):
     // concurrent test/bench processes sharing one temp root can never collide
     // on spill file names, and the destructor can clean up wholesale without
@@ -85,15 +90,14 @@ class Cluster {
     std::error_code ec;
     std::filesystem::create_directories(run_spill_dir_, ec);
     const std::filesystem::path& spill_dir = ec ? config.spill_root : run_spill_dir_;
-    const int io_pool_size = common::EnvInt("ITASK_IO_POOL", config.io_pool_size);
     for (int i = 0; i < config.num_nodes; ++i) {
       memsim::HeapConfig heap = config.heap;
       if (static_cast<std::size_t>(i) < config.per_node_heap_bytes.size() &&
           config.per_node_heap_bytes[static_cast<std::size_t>(i)] != 0) {
         heap.capacity_bytes = config.per_node_heap_bytes[static_cast<std::size_t>(i)];
       }
-      nodes_.push_back(
-          std::make_unique<Node>(i, heap, spill_dir, &tracer_, io_pool_size, config_.faults));
+      nodes_.push_back(std::make_unique<Node>(i, heap, spill_dir, &tracer_,
+                                              config.io_pool_size, config_.faults));
     }
     if (config_.faults.schedule.active()) {
       fuzzer_ = std::make_unique<chaos::ScheduleFuzzer>(config_.faults.schedule,

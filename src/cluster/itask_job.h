@@ -79,13 +79,14 @@ class ItaskJob {
 
   // ---- Fault tolerance (opt-in; call before SetSinkPerNode/Run) ----
   // Creates the job's recovery context (heartbeat membership + durable-store
-  // / shuffle-ledger / sink-gate lineage) and wires every node into it. The
+  // / shuffle-ledger / sink-gate lineage) under the cluster's
+  // ClusterConfig::recovery settings and wires every node into it. The
   // engine must additionally register partition factories for every TypeId
   // that crosses the shuffle or the sink, route map outputs through
   // RecoveryContext::StageShuffle, and register splits at feed time.
   core::RecoveryContext& EnableFaultTolerance(obs::Tracer* tracer = nullptr) {
-    recovery_ = std::make_unique<core::RecoveryContext>(
-        core::RecoveryConfig::FromEnv(), num_nodes());
+    recovery_ =
+        std::make_unique<core::RecoveryContext>(cluster_->config().recovery, num_nodes());
     if (tracer != nullptr) {
       recovery_->set_tracer(tracer);
     }

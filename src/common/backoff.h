@@ -18,10 +18,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
+#include <limits>
 #include <thread>
-
-#include "common/env.h"
 
 namespace itask::common {
 
@@ -57,16 +55,6 @@ struct BackoffPolicy {
   double jitter = 0.25;     // +/- fraction applied to each delay.
   int max_attempts = 5;     // Retries beyond the first try; < 0 = unlimited.
   double deadline_ms = 0.0; // Total wall-clock budget; 0 = none.
-
-  // Env override family under |prefix|: <prefix>_BASE_MS, <prefix>_CAP_MS,
-  // <prefix>_ATTEMPTS, <prefix>_DEADLINE_MS (strict common/env.h parsing).
-  static BackoffPolicy FromEnv(const std::string& prefix, BackoffPolicy base) {
-    base.base_ms = EnvPositiveDouble((prefix + "_BASE_MS").c_str(), base.base_ms);
-    base.cap_ms = EnvPositiveDouble((prefix + "_CAP_MS").c_str(), base.cap_ms);
-    base.max_attempts = EnvInt((prefix + "_ATTEMPTS").c_str(), base.max_attempts);
-    base.deadline_ms = EnvDouble((prefix + "_DEADLINE_MS").c_str(), base.deadline_ms);
-    return base;
-  }
 };
 
 namespace backoff_detail {

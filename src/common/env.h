@@ -1,10 +1,11 @@
-// Strict environment-variable parsing for the ITASK_* knob family.
+// Strict environment-variable parsing for the ITASK_* knobs, which only
+// cluster::ApplyEnv (src/cluster/env.cc) and the flight recorder read.
 //
-// Every subsystem used to hand-roll std::getenv + atoi/atof, which silently
-// reads garbage as 0 ("ITASK_IO_POOL=two" → synchronous I/O with no warning).
-// These helpers parse the *whole* value or reject it: a malformed value logs
-// one warning and falls back to the caller's default, so a typo in a CI
-// environment block cannot silently reconfigure the system.
+// A hand-rolled std::getenv + atoi/atof silently reads garbage
+// ("ITASK_HEARTBEAT_MS=5ms" as 5, "two" as 0). These helpers parse the
+// *whole* value or reject it: a malformed value logs one warning and falls
+// back to the caller's default, so a typo in a CI environment block cannot
+// silently reconfigure the system.
 //
 // All parsers accept leading/trailing ASCII whitespace and nothing else
 // around the number. EnvBool accepts 0/1/true/false/on/off/yes/no

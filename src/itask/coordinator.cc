@@ -87,8 +87,8 @@ bool JobCoordinator::Run(const std::function<void()>& feed, double deadline_ms) 
 bool JobCoordinator::DetectFailures() {
   Membership& membership = recovery_->membership();
   const double suspect_ms = recovery_->config().suspect_timeout_ms;
-  const double dead_ms = recovery_->config().dead_timeout_ms;
-  const double grace_ms = recovery_->config().disconnect_grace_ms;
+  const double dead_ms = recovery_->config().dead_timeout_ms();
+  const double grace_ms = recovery_->config().grace_ms();
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
     const int node = static_cast<int>(i);
     const NodeLiveness state = membership.state(node);

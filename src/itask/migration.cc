@@ -1,21 +1,16 @@
 #include "itask/migration.h"
 
-#include "common/env.h"
-
 namespace itask::core {
 
-MigrationConfig MigrationConfig::FromEnv() {
-  MigrationConfig config;
-  config.enable = common::EnvBool("ITASK_MIGRATE_ENABLE", config.enable);
-  config.stale_ms = common::EnvPositiveDouble("ITASK_MIGRATE_STALE_MS", config.stale_ms);
-  config.headroom_fill =
-      common::EnvPositiveDouble("ITASK_MIGRATE_HEADROOM", config.headroom_fill);
-  config.min_bytes = common::EnvU64("ITASK_MIGRATE_MIN_BYTES", config.min_bytes);
-  config.net_mbps = common::EnvPositiveDouble("ITASK_MIGRATE_NET_MBPS", config.net_mbps);
-  config.disk_mbps = common::EnvPositiveDouble("ITASK_MIGRATE_DISK_MBPS", config.disk_mbps);
-  config.rtt_us = common::EnvPositiveDouble("ITASK_MIGRATE_RTT_US", config.rtt_us);
-  return config;
-}
+namespace {
+
+// A destination's heap may fill to this fraction of its capacity once a
+// migrated partition lands.
+constexpr double kMigrateHeadroomFill = 0.75;
+// Modeled wire rate (MB/s) of the migration cost model.
+constexpr double kMigrateNetMbps = 1000.0;
+
+}  // namespace
 
 void MigrationBroker::Update(int node, std::uint64_t used_bytes,
                              std::uint64_t capacity_bytes) {
@@ -41,7 +36,7 @@ std::uint64_t MigrationBroker::FreeBytesLocked(
     return 0;  // A silent node may be wedged; never trust its last report.
   }
   const auto line = static_cast<std::uint64_t>(
-      config_.headroom_fill * static_cast<double>(stat.capacity));
+      kMigrateHeadroomFill * static_cast<double>(stat.capacity));
   return stat.used >= line ? 0 : line - stat.used;
 }
 
@@ -85,7 +80,7 @@ bool MigrationBroker::MigrationCheaper(std::uint64_t bytes) const {
   // wire plus a fixed handshake. Rates are MB/s; times in microseconds.
   const double mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
   const double spill_us = 2.0 * mb / config_.disk_mbps * 1e6;
-  const double wire_us = mb / config_.net_mbps * 1e6 + config_.rtt_us;
+  const double wire_us = mb / kMigrateNetMbps * 1e6 + config_.rtt_us;
   return wire_us < spill_us;
 }
 

@@ -8,8 +8,8 @@
 //
 // The cost model compares the wire (bytes at net rate plus an RTT of
 // handshake) against the disk round trip a spill implies (write now, read
-// back at re-activation — two passes over the device). Both rates are modeled
-// knobs, not measurements: the point is the *shape* of the decision (small
+// back at re-activation — two passes over the device). Both rates are modeled,
+// not measured: the point is the *shape* of the decision (small
 // partitions spill, big ones migrate when a peer has room), mirroring the
 // paper's observation that relief actions should scale with pressure.
 #ifndef ITASK_ITASK_MIGRATION_H_
@@ -29,23 +29,19 @@ namespace itask::core {
 enum class MigrationReject : std::uint64_t {
   kDisabled = 0,        // Knob off, or no recovery context to ledger through.
   kIneligible = 1,      // No lineage, merge-bound input, or protected tenant.
-  kTooSmall = 2,        // Below ITASK_MIGRATE_MIN_BYTES.
+  kTooSmall = 2,        // Below MigrationConfig::min_bytes.
   kNoDestination = 3,   // No serving peer with fresh stats and headroom.
   kCost = 4,            // Spill+reload estimated cheaper than the wire.
   kDeliveryFailed = 5,  // Shipping failed after retries; fell back to spill.
 };
 
-// Tuned via ITASK_MIGRATE_* (README knob table).
+// Part of core::RecoveryConfig (cluster::ClusterConfig::recovery.migration).
 struct MigrationConfig {
-  bool enable = true;              // ITASK_MIGRATE_ENABLE
-  double stale_ms = 100.0;         // ITASK_MIGRATE_STALE_MS — beat freshness cutoff.
-  double headroom_fill = 0.75;     // ITASK_MIGRATE_HEADROOM — max post-landing fill.
+  bool enable = true;              // false = spill-only SERIALIZE.
+  double stale_ms = 100.0;         // Beat freshness cutoff.
   std::uint64_t min_bytes = 32 << 10;  // ITASK_MIGRATE_MIN_BYTES
-  double net_mbps = 1000.0;        // ITASK_MIGRATE_NET_MBPS — modeled wire rate.
-  double disk_mbps = 400.0;        // ITASK_MIGRATE_DISK_MBPS — modeled spill device.
+  double disk_mbps = 400.0;        // Modeled spill device (MB/s).
   double rtt_us = 200.0;           // ITASK_MIGRATE_RTT_US — fixed per-migration cost.
-
-  static MigrationConfig FromEnv();
 };
 
 class MigrationBroker {

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "chaos/chaos.h"
 #include "common/backoff.h"
-#include "common/env.h"
 #include "common/logging.h"
 #include "obs/event.h"
 #include "serde/serializer.h"
@@ -32,22 +30,10 @@ std::uint64_t MsToNs(double ms) { return static_cast<std::uint64_t>(ms * 1e6); }
 
 }  // namespace
 
-RecoveryConfig RecoveryConfig::FromEnv() {
-  RecoveryConfig c;
-  c.heartbeat_ms = common::EnvPositiveDouble("ITASK_HEARTBEAT_MS", c.heartbeat_ms);
-  c.suspect_timeout_ms =
-      common::EnvPositiveDouble("ITASK_SUSPECT_TIMEOUT_MS", c.suspect_timeout_ms);
-  c.dead_timeout_ms = 2.0 * c.suspect_timeout_ms;
-  c.disconnect_grace_ms = common::EnvPositiveDouble("ITASK_DISCONNECT_GRACE_MS",
-                                                    3.0 * c.dead_timeout_ms);
-  c.shuffle_retries = std::max(0, common::EnvInt("ITASK_SHUFFLE_RETRIES", c.shuffle_retries));
-  return c;
-}
-
 RecoveryContext::RecoveryContext(RecoveryConfig config, int num_nodes)
     : config_(config),
       membership_(num_nodes),
-      broker_(num_nodes, MigrationConfig::FromEnv()),
+      broker_(num_nodes, config.migration),
       hooks_(static_cast<std::size_t>(num_nodes)),
       delivered_at_(static_cast<std::size_t>(num_nodes)),
       landed_ns_(static_cast<std::size_t>(num_nodes), 0) {
@@ -122,7 +108,7 @@ void RecoveryContext::NoteLinkDown(int node) {
     membership_.NoteDisconnected(node);
     LOG_INFO() << "recovery: node " << node
                << " disconnected (partition observed); grace "
-               << config_.disconnect_grace_ms << "ms";
+               << config_.grace_ms() << "ms";
   }
 }
 
@@ -556,7 +542,7 @@ RecoveryContext::MigrateOutcome RecoveryContext::MigratePartition(
   bool landed = false;
   bool definitive_failure = false;
   bool ambiguous_seen = false;
-  for (int attempt = 0; attempt <= config_.shuffle_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kShuffleRetries; ++attempt) {
     if (!membership_.Serving(target)) {
       break;  // Target fenced mid-flight; OnNodeLost/Sweep own the replay.
     }
@@ -759,10 +745,10 @@ void RecoveryContext::RefusedLocked(const EntryKey& key, Entry& entry, int targe
 
 std::uint64_t RecoveryContext::NextAttemptNs(int* attempt, std::uint64_t salt,
                                              std::uint64_t now) const {
-  // Rounds of shuffle_retries backed-off retries; an exhausted round starts
+  // Rounds of kShuffleRetries backed-off retries; an exhausted round starts
   // over on the next tick, exactly as the old inline retry loop did when the
   // following Sweep picked the entry up again.
-  *attempt = (*attempt + 1) % (config_.shuffle_retries + 1);
+  *attempt = (*attempt + 1) % (kShuffleRetries + 1);
   if (*attempt == 0) {
     return now;
   }

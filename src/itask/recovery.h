@@ -62,21 +62,27 @@
 
 namespace itask::core {
 
+// Backed-off retries per round for a shuffle entry or a re-execution; a
+// fresh round follows on the next retry tick.
+inline constexpr int kShuffleRetries = 5;
+
+// The job's recovery settings: cluster::ClusterConfig::recovery.
 struct RecoveryConfig {
   double heartbeat_ms = 2.0;         // ITASK_HEARTBEAT_MS
   double suspect_timeout_ms = 150.0;  // ITASK_SUSPECT_TIMEOUT_MS
-  double dead_timeout_ms = 300.0;     // 2x the suspect timeout by default.
   // Extra silence granted to a node the transport reported as partitioned
-  // (kDisconnected) before the dead declaration. ITASK_DISCONNECT_GRACE_MS;
-  // 3x the dead timeout by default — a healed partition must not have cost
-  // any lineage re-execution.
-  double disconnect_grace_ms = 900.0;
-  int shuffle_retries = 5;            // ITASK_SHUFFLE_RETRIES
+  // (kDisconnected) before the dead declaration; 0 = 3x the dead timeout.
+  // A healed partition must not have cost any lineage re-execution.
+  double disconnect_grace_ms = 0.0;
   double backoff_base_ms = 1.0;       // Exponential, doubling per attempt...
   double backoff_cap_ms = 50.0;       // ...capped here, +/- jitter.
+  MigrationConfig migration;
 
-  // Reads the ITASK_* knobs above from the environment.
-  static RecoveryConfig FromEnv();
+  // Silence before a suspect is declared dead.
+  double dead_timeout_ms() const { return 2.0 * suspect_timeout_ms; }
+  double grace_ms() const {
+    return disconnect_grace_ms > 0.0 ? disconnect_grace_ms : 3.0 * dead_timeout_ms();
+  }
 };
 
 // Builds an empty partition of one TypeId on a given node's heap/spill so the
@@ -392,7 +398,7 @@ class RecoveryContext {
 
   // Advances |*attempt| within its retry round and returns the not-before
   // time of that attempt: the shared backoff ladder, restarting on the next
-  // tick once shuffle_retries retries are used up.
+  // tick once kShuffleRetries retries are used up.
   std::uint64_t NextAttemptNs(int* attempt, std::uint64_t salt, std::uint64_t now_ns) const;
 
   // Erases one entry and every index pointing at it. mu_ held.

@@ -1,8 +1,6 @@
 #include "itask/runtime.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "chaos/chaos.h"
@@ -65,7 +63,6 @@ void IrsRuntime::Start() {
   fenced_.store(false, std::memory_order_relaxed);
   queue_.Reopen();  // A fence in the previous job must not strand this one.
   headroom_streak_ = 0;
-  job_watch_.Reset();
   start_t_ns_ = tracer_->NowNs();
   tracer_->Emit(obs::EventKind::kRuntimeStart, trace_node());
   sched_.Start();
@@ -507,27 +504,6 @@ void IrsRuntime::MonitorLoop() {
                         static_cast<std::uint64_t>(by_spec[spec]), seq);
         }
       }
-    }
-
-    // Diagnostic heartbeat (ITASK_DEBUG_MONITOR=1): where is live memory?
-    static const bool debug_monitor = std::getenv("ITASK_DEBUG_MONITOR") != nullptr;
-    if (debug_monitor && ++debug_tick_ % 100 == 0) {
-      std::uint64_t queued_bytes = 0;
-      const auto snapshot = queue_.ResidentSnapshot();
-      for (const auto& dp : snapshot) {
-        queued_bytes += dp->PayloadBytes();
-      }
-      std::fprintf(stderr,
-                   "[monitor %s] t=%.0fms live=%.2fMB queued_res=%.2fMB(%zu) queued=%llu "
-                   "active=%d target=%d pressure=%d victims=%llu interrupts=%llu\n",
-                   services_.name.c_str(), job_watch_.ElapsedMs(),
-                   static_cast<double>(live) / 1048576.0,
-                   static_cast<double>(queued_bytes) / 1048576.0, snapshot.size(),
-                   static_cast<unsigned long long>(state_->total_queued.load()),
-                   sched_.active_count(), sched_.target(),
-                   pressure_.load() ? 1 : 0,
-                   static_cast<unsigned long long>(sched_.stats().victim_requests),
-                   static_cast<unsigned long long>(sched_.stats().interrupts));
     }
   }
 }

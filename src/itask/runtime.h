@@ -222,11 +222,9 @@ class IrsRuntime {
   std::atomic<bool> fenced_{false};
   int gc_listener_id_ = -1;
   std::thread monitor_thread_;
-  common::Stopwatch job_watch_;
   std::uint64_t start_t_ns_ = 0;       // Tracer timestamp of the last Start().
   std::uint32_t active_sample_seq_ = 0;  // Monitor-thread only.
 
-  std::uint64_t debug_tick_ = 0;
   int headroom_streak_ = 0;
   bool started_ = false;
 };

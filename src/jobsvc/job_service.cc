@@ -1,10 +1,8 @@
 #include "jobsvc/job_service.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "obs/event.h"
 
@@ -19,17 +17,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-JobServiceConfig JobServiceConfig::FromEnv(JobServiceConfig base) {
-  base.max_concurrent = common::EnvInt("ITASK_JOBSVC_MAX_CONCURRENT", base.max_concurrent);
-  base.overcommit = common::EnvDouble("ITASK_JOBSVC_OVERCOMMIT", base.overcommit);
-  base.headroom_fraction = common::EnvDouble("ITASK_JOBSVC_HEADROOM", base.headroom_fraction);
-  base.default_budget_bytes =
-      common::EnvU64("ITASK_JOBSVC_DEFAULT_BUDGET_KB", base.default_budget_bytes >> 10) << 10;
-  base.profile = common::EnvBool("ITASK_JOBSVC_PROFILE", base.profile);
-  base.worker_slots = common::EnvInt("ITASK_JOBSVC_WORKER_SLOTS", base.worker_slots);
-  return base;
-}
-
 JobService::JobService(cluster::Cluster& cluster, JobServiceConfig config)
     : cluster_(cluster),
       config_(config),
@@ -41,12 +28,6 @@ JobService::JobService(cluster::Cluster& cluster, JobServiceConfig config)
           std::min(config.max_concurrent, static_cast<int>(memsim::kMaxJobAccounts) - 1)) {
   config_.max_concurrent = admission_.max_concurrent();
   config_.worker_slots = std::max(config_.worker_slots, 1);
-  if (config_.profiler.max_heap_bytes == 0) {
-    // Default profiling grid: 1/16th of the node heap up to the admissible
-    // window — the range an admission budget could actually take.
-    config_.profiler.min_heap_bytes = cluster.config().heap.capacity_bytes / 16;
-    config_.profiler.max_heap_bytes = admission_.ledger().admissible_bytes();
-  }
   for (memsim::JobId id = static_cast<memsim::JobId>(memsim::kMaxJobAccounts) - 1; id >= 1;
        --id) {
     free_accounts_.push_back(id);  // LIFO: account 1 is handed out first.
@@ -59,19 +40,6 @@ std::uint64_t JobService::ResolveBudget(const JobSubmission& submission) {
   if (submission.node_budget_bytes > 0) {
     return submission.node_budget_bytes;
   }
-  if (config_.profile && submission.profile) {
-    const ElasticityProfile profile =
-        ElasticityProfiler::Profile(config_.profiler, submission.profile);
-    const std::uint64_t recommended = profile.RecommendedBudget();
-    if (recommended > 0) {
-      LOG_DEBUG() << "jobsvc: profiled '" << submission.name << "' knee=" << profile.knee_bytes
-                  << "B recommended=" << recommended << "B";
-      return std::min(recommended, admission_.ledger().admissible_bytes());
-    }
-  }
-  if (config_.default_budget_bytes > 0) {
-    return config_.default_budget_bytes;
-  }
   // Fair default: an equal slice of the admissible window per slot.
   return std::max<std::uint64_t>(
       admission_.ledger().admissible_bytes() /
@@ -80,7 +48,6 @@ std::uint64_t JobService::ResolveBudget(const JobSubmission& submission) {
 }
 
 std::uint64_t JobService::Submit(JobSubmission submission) {
-  // Profiling runs outside the lock: it executes the caller's probe workload.
   const std::uint64_t budget = ResolveBudget(submission);
 
   std::lock_guard lock(mu_);

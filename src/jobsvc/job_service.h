@@ -1,8 +1,8 @@
 // JobService: a driver-side multi-tenant job service for one shared Cluster.
 //
 // Callers Submit() workload factories with a declared priority and memory
-// demand; the service resolves each job's per-node budget (declared value,
-// elasticity profile, or a fair default), admits jobs against the cluster's
+// demand; the service resolves each job's per-node budget (the declared
+// value, or a fair default), admits jobs against the cluster's
 // heap capacity through the AdmissionController, and runs every admitted job
 // on its own driver thread under a memsim::JobScope — so all of the job's
 // allocations land in its per-job heap account and the IRS monitors can
@@ -12,16 +12,6 @@
 // priority order (FIFO within a priority, head-of-line bypass on budget
 // misses), and each admitted job receives a priority-weighted share of the
 // cluster's per-node worker slots via TenantBinding::max_workers.
-//
-// Environment knobs (JobServiceConfig::FromEnv):
-//   ITASK_JOBSVC_MAX_CONCURRENT     concurrency slots (default 4)
-//   ITASK_JOBSVC_OVERCOMMIT         budget overcommit factor (default 1.0)
-//   ITASK_JOBSVC_HEADROOM           heap fraction reserved from budgets (0.15)
-//   ITASK_JOBSVC_DEFAULT_BUDGET_KB  budget for jobs that declare none
-//                                   (default 0 = admissible / max_concurrent)
-//   ITASK_JOBSVC_PROFILE            1 = run the elasticity profiler for jobs
-//                                   that declare no budget but a profile fn
-//   ITASK_JOBSVC_WORKER_SLOTS       per-node worker slots to split (default 8)
 #ifndef ITASK_JOBSVC_JOB_SERVICE_H_
 #define ITASK_JOBSVC_JOB_SERVICE_H_
 
@@ -38,7 +28,6 @@
 #include "cluster/cluster.h"
 #include "cluster/itask_job.h"
 #include "jobsvc/admission.h"
-#include "jobsvc/elasticity.h"
 
 namespace itask::jobsvc {
 
@@ -53,18 +42,14 @@ struct JobOutcome {
 struct JobSubmission {
   std::string name;
   int priority = 0;
-  // Declared per-node memory demand; 0 = let the service size it (profiler
-  // when enabled and |profile| is provided, the configured default otherwise).
+  // Declared per-node memory demand; 0 = an equal slice of the admissible
+  // window per concurrency slot.
   std::uint64_t node_budget_bytes = 0;
   // Runs the workload on the shared cluster. The binding carries the job's
   // account id, budget, and fair-share worker cap; the callee must pass it
   // through to ItaskJob (apps: AppConfig::tenant). Invoked on a dedicated
   // service thread that already holds the job's JobScope.
   std::function<JobOutcome(cluster::Cluster&, const cluster::TenantBinding&)> run;
-  // Optional low-scale probe for the elasticity profiler: runtime in ms of a
-  // reduced-scale replica of this workload under the given heap size, < 0 on
-  // failure. Only consulted when node_budget_bytes == 0 and profiling is on.
-  std::function<double(std::uint64_t heap_bytes)> profile;
 };
 
 enum class JobState : std::uint8_t {
@@ -89,20 +74,11 @@ struct JobRecord {
 };
 
 struct JobServiceConfig {
-  int max_concurrent = 4;
+  int max_concurrent = 4;  // Concurrency slots (capped at the account space).
   double overcommit = 1.0;
   double headroom_fraction = 0.15;
-  std::uint64_t default_budget_bytes = 0;  // 0 = admissible / max_concurrent.
-  bool profile = false;
   int worker_slots = 8;  // Per-node worker slots split across running jobs.
-  ElasticityProfiler::Config profiler;     // min/max filled from the heap.
-
-  static JobServiceConfig FromEnv(JobServiceConfig base);
 };
-
-inline JobServiceConfig JobServiceConfigFromEnv() {
-  return JobServiceConfig::FromEnv(JobServiceConfig{});
-}
 
 class JobService {
  public:

@@ -1,6 +1,5 @@
 #include "net/ctrl.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -14,7 +13,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "net/metrics_wire.h"
 #include "obs/span.h"
@@ -22,6 +20,14 @@
 namespace itask::net {
 
 namespace {
+
+// Session-resume dial ladder: 25 ms doubling to 1 s, at most 20 attempts
+// within 15 s.
+constexpr common::BackoffPolicy kCtrlReconnectPolicy{
+    /*base_ms=*/25.0, /*cap_ms=*/1000.0, /*multiplier=*/2.0, /*jitter=*/0.25,
+    /*max_attempts=*/20, /*deadline_ms=*/15000.0};
+// Telemetry shipping cadence on the heartbeat thread.
+constexpr int kMetricsShipMs = 250;
 
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
@@ -64,7 +70,7 @@ void EmitFlow(obs::Tracer* tracer, obs::EventKind kind, std::uint16_t lane,
 // CtrlServer
 // ---------------------------------------------------------------------------
 
-CtrlServer::CtrlServer(int port) {
+CtrlServer::CtrlServer(int port, const std::string& bind_host) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("ctrl: socket() failed");
@@ -73,10 +79,8 @@ CtrlServer::CtrlServer(int port) {
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  const std::string bind_host =
-      common::EnvString("ITASK_NET_BIND_HOST", "127.0.0.1");
   if (::inet_pton(AF_INET, bind_host.c_str(), &addr.sin_addr) != 1) {
-    LOG_WARN() << "ctrl: bad ITASK_NET_BIND_HOST '" << bind_host
+    LOG_WARN() << "ctrl: bad bind host '" << bind_host
                << "'; binding loopback";
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   }
@@ -444,11 +448,6 @@ int CtrlClient::Join(const std::string& host, int port, const std::string& name,
   port_ = port;
   name_ = name;
   heap_capacity_ = heap_capacity;
-  reconnect_policy_ = common::BackoffPolicy::FromEnv(
-      "ITASK_CTRL_RECONNECT",
-      common::BackoffPolicy{/*base_ms=*/25.0, /*cap_ms=*/1000.0,
-                            /*multiplier=*/2.0, /*jitter=*/0.25,
-                            /*max_attempts=*/20, /*deadline_ms=*/15000.0});
   return ConnectAndJoin(/*resume=*/false);
 }
 
@@ -463,9 +462,7 @@ int CtrlClient::ConnectAndJoin(bool resume) {
   if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   }
-  const int connect_timeout_ms =
-      std::max(1, common::EnvInt("ITASK_NET_CONNECT_TIMEOUT_MS", 1000));
-  if (!ConnectWithTimeout(fd, &addr, sizeof(addr), connect_timeout_ms)) {
+  if (!ConnectWithTimeout(fd, &addr, sizeof(addr), kConnectTimeoutMs)) {
     ::close(fd);
     return -1;
   }
@@ -486,7 +483,7 @@ int CtrlClient::ConnectAndJoin(bool resume) {
   // Bound the wait for the ack, as the server bounds its wait for the join:
   // once a driver shuts down, its port can be reused by a listener that
   // never answers, and a resume blocked here would wedge ~CtrlClient.
-  timeval ack_timeout{connect_timeout_ms / 1000, (connect_timeout_ms % 1000) * 1000};
+  timeval ack_timeout{kConnectTimeoutMs / 1000, (kConnectTimeoutMs % 1000) * 1000};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &ack_timeout, sizeof(ack_timeout));
   Message ack;
   try {
@@ -545,7 +542,7 @@ bool CtrlClient::EnsureConnected(std::uint64_t failed_gen) {
     // when the last holder drops the socket, never under a blocked reader.
     sock->Shutdown();
   }
-  common::Backoff backoff(common::BackoffUse::kCtrlReconnect, reconnect_policy_,
+  common::Backoff backoff(common::BackoffUse::kCtrlReconnect, kCtrlReconnectPolicy,
                           static_cast<std::uint64_t>(node_id_) + 2);
   for (;;) {
     if (stop_beats_.load(std::memory_order_acquire)) {
@@ -617,13 +614,8 @@ void CtrlClient::StartHeartbeats(
   beat_thread_ = std::thread([this, interval_ms, stats = std::move(stats)] {
     // Telemetry ships ride the heartbeat thread on their own (coarser)
     // cadence, so a dead driver tears down both with one failed send.
-    // Values below 1 fall back to the default.
-    constexpr int kDefaultShipMs = 250;
-    int ship_ms = common::EnvInt("ITASK_OBS_SHIP_MS", kDefaultShipMs);
-    if (ship_ms < 1) {
-      ship_ms = kDefaultShipMs;
-    }
-    const std::uint64_t ship_interval_ns = static_cast<std::uint64_t>(ship_ms) * 1'000'000;
+    const std::uint64_t ship_interval_ns =
+        static_cast<std::uint64_t>(kMetricsShipMs) * 1'000'000;
     std::uint64_t last_ship_ns = 0;
     while (!stop_beats_.load(std::memory_order_acquire)) {
       const std::uint64_t gen = conn_gen_.load(std::memory_order_acquire);

@@ -16,13 +16,12 @@
 // fabric: one message per checksummed frame.
 //
 // Session resume: a daemon whose ctrl socket dies reconnects with capped
-// jittered backoff (ITASK_CTRL_RECONNECT_{BASE_MS,CAP_MS,ATTEMPTS,
-// DEADLINE_MS}) and re-joins under its original node id (kJoin.b = old id
-// + 1). The server swaps the socket under the existing peer slot — results,
-// metrics and dispatch ordinals survive — and the client re-ships its
-// recent results (deduplicated server-side by the seq packed into
-// kResult.c), a fresh heartbeat, and a metrics snapshot so the driver's
-// view heals without any job re-execution.
+// jittered backoff (25 ms doubling to 1 s, at most 20 attempts within 15 s)
+// and re-joins under its original node id (kJoin.b = old id + 1). The server swaps the socket under the
+// existing peer slot — results, metrics and dispatch ordinals survive — and
+// the client re-ships its recent results (deduplicated server-side by the
+// seq packed into kResult.c), a fresh heartbeat, and a metrics snapshot so
+// the driver's view heals without any job re-execution.
 #ifndef ITASK_NET_CTRL_H_
 #define ITASK_NET_CTRL_H_
 
@@ -66,8 +65,8 @@ struct JobResultMsg {
 class CtrlServer {
  public:
   // Listens on TCP |port| (0 = ephemeral; read back via port()) bound to
-  // ITASK_NET_BIND_HOST (default loopback).
-  explicit CtrlServer(int port = 0);
+  // |bind_host| (net_driver passes NetConfig::bind_host).
+  explicit CtrlServer(int port = 0, const std::string& bind_host = "127.0.0.1");
   ~CtrlServer();
 
   CtrlServer(const CtrlServer&) = delete;
@@ -173,8 +172,8 @@ class CtrlClient {
                        std::function<std::pair<std::uint64_t, std::uint64_t>()> stats);
 
   // Telemetry shipping: when set before StartHeartbeats, the heartbeat thread
-  // also serializes a snapshot into a kMetrics message every ITASK_OBS_SHIP_MS
-  // milliseconds (default 250). |source| fills the snapshot and returns true,
+  // also serializes a snapshot into a kMetrics message every 250 ms.
+  // |source| fills the snapshot and returns true,
   // or returns false while it has nothing to report (no job finished yet).
   // Snapshots are cumulative, so a dropped ship only delays the server's view.
   void SetMetricsSource(std::function<bool(common::RunMetrics*)> source);
@@ -239,7 +238,6 @@ class CtrlClient {
   int port_ = 0;
   std::string name_;
   std::uint64_t heap_capacity_ = 0;
-  common::BackoffPolicy reconnect_policy_;
   // Recent kResult replies (bounded ring) re-shipped after a resume; the
   // server drops duplicates by the seq packed into |c|.
   std::mutex results_mu_;

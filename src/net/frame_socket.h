@@ -97,6 +97,9 @@ class FrameSocket {
   std::uint64_t wire_bytes_received_ = 0;
 };
 
+// Ceiling on one dial attempt (shuffle peers, ctrl join, daemon dial).
+inline constexpr int kConnectTimeoutMs = 1000;
+
 // Connects |fd| to |addr| without ever blocking the caller past
 // |timeout_ms|: non-blocking connect, poll for writability with a deadline,
 // then SO_ERROR check. On success the fd is back in blocking mode. A

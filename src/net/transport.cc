@@ -1,6 +1,5 @@
 #include "net/transport.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -26,7 +25,6 @@
 #include <unistd.h>
 
 #include "common/backoff.h"
-#include "common/env.h"
 #include "common/logging.h"
 #include "net/faults.h"
 #include "net/frame_socket.h"
@@ -49,30 +47,6 @@ std::optional<TransportKind> ParseTransportKind(std::string_view name) {
     return TransportKind::kUds;
   }
   return std::nullopt;
-}
-
-NetConfig NetConfigFromEnv(NetConfig base) {
-  const std::string kind = common::EnvString("ITASK_NET_TRANSPORT", TransportKindName(base.kind));
-  if (const auto parsed = ParseTransportKind(kind)) {
-    base.kind = *parsed;
-  } else {
-    LOG_WARN() << "env: ignoring ITASK_NET_TRANSPORT=\"" << kind
-               << "\" (want inproc|tcp|uds); using " << TransportKindName(base.kind);
-  }
-  // Clamp to >= 1: a zero coalescing ceiling would admit no message into any
-  // batch and spin the sender on empty frames while producers block forever.
-  base.batch_bytes = std::max<std::size_t>(
-      1, static_cast<std::size_t>(common::EnvU64("ITASK_NET_BATCH_BYTES", base.batch_bytes)));
-  base.queue_cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(common::EnvU64("ITASK_NET_QUEUE_CAP", base.queue_cap)));
-  base.ack_timeout_ms =
-      std::max(1, common::EnvInt("ITASK_NET_ACK_TIMEOUT_MS", base.ack_timeout_ms));
-  base.flush_us = std::max(1, common::EnvInt("ITASK_NET_FLUSH_US", base.flush_us));
-  base.port = common::EnvInt("ITASK_NET_PORT", base.port);
-  base.bind_host = common::EnvString("ITASK_NET_BIND_HOST", base.bind_host);
-  base.connect_timeout_ms =
-      std::max(1, common::EnvInt("ITASK_NET_CONNECT_TIMEOUT_MS", base.connect_timeout_ms));
-  return base;
 }
 
 namespace {
@@ -180,17 +154,21 @@ class InprocTransport final : public Transport {
 
 std::atomic<std::uint64_t> g_transport_serial{0};
 
+// Sender wait granularity when idle: how long a held reorder frame waits for
+// a successor before it goes out alone.
+constexpr int kFlushUs = 200;
+// Requeue backoff after a failed batch. Unlimited: only real endpoint
+// closure ends a sender's retry loop.
+constexpr common::BackoffPolicy kSendRetryPolicy{/*base_ms=*/1.0, /*cap_ms=*/128.0,
+                                                 /*multiplier=*/2.0, /*jitter=*/0.25,
+                                                 /*max_attempts=*/-1, /*deadline_ms=*/0.0};
+
 class SocketTransport final : public Transport {
  public:
   SocketTransport(const NetConfig& config, const chaos::FaultPlan& faults)
       : config_(config),
         serial_(g_transport_serial.fetch_add(1) + 1),
-        depth_hist_(QueueDepthBounds()),
-        send_retry_policy_(common::BackoffPolicy::FromEnv(
-            "ITASK_NET_SEND_RETRY",
-            common::BackoffPolicy{/*base_ms=*/1.0, /*cap_ms=*/128.0,
-                                  /*multiplier=*/2.0, /*jitter=*/0.25,
-                                  /*max_attempts=*/-1, /*deadline_ms=*/0.0})) {
+        depth_hist_(QueueDepthBounds()) {
     if (faults.net.active()) {
       faults_ = std::make_unique<NetFaultEngine>(faults);
     }
@@ -487,7 +465,7 @@ class SocketTransport final : public Transport {
       sockaddr_un addr{};
       addr.sun_family = AF_UNIX;
       std::strncpy(addr.sun_path, uds_path.c_str(), sizeof(addr.sun_path) - 1);
-      if (!ConnectWithTimeout(fd, &addr, sizeof(addr), config_.connect_timeout_ms)) {
+      if (!ConnectWithTimeout(fd, &addr, sizeof(addr), kConnectTimeoutMs)) {
         ::close(fd);
         return -1;
       }
@@ -501,7 +479,7 @@ class SocketTransport final : public Transport {
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = BindAddr();
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (!ConnectWithTimeout(fd, &addr, sizeof(addr), config_.connect_timeout_ms)) {
+    if (!ConnectWithTimeout(fd, &addr, sizeof(addr), kConnectTimeoutMs)) {
       ::close(fd);
       return -1;
     }
@@ -568,7 +546,7 @@ class SocketTransport final : public Transport {
         if (held.empty()) {
           q->not_empty.wait(qlock, [q] { return q->dead || !q->msgs.empty(); });
         } else {
-          q->not_empty.wait_for(qlock, std::chrono::microseconds(config_.flush_us),
+          q->not_empty.wait_for(qlock, std::chrono::microseconds(kFlushUs),
                                 [q] { return q->dead || !q->msgs.empty(); });
         }
         if (q->dead && q->msgs.empty()) {
@@ -723,7 +701,7 @@ class SocketTransport final : public Transport {
           q->msgs.push_front(std::move(*it));
         }
         if (!retry) {
-          retry.emplace(common::BackoffUse::kSendRetry, send_retry_policy_,
+          retry.emplace(common::BackoffUse::kSendRetry, kSendRetryPolicy,
                         static_cast<std::uint64_t>(q->dst + 2));
         }
         double delay_ms = 1.0;
@@ -832,7 +810,6 @@ class SocketTransport final : public Transport {
   EventSink sink_;
   StatCounters counters_;
   obs::Histogram depth_hist_;
-  common::BackoffPolicy send_retry_policy_;
 };
 
 }  // namespace

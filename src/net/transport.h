@@ -55,26 +55,17 @@ constexpr const char* TransportKindName(TransportKind k) {
 
 std::optional<TransportKind> ParseTransportKind(std::string_view name);
 
+// Part of cluster::ClusterConfig, whose ApplyEnv reads the kind, port and
+// bind host from the environment.
 struct NetConfig {
   TransportKind kind = TransportKind::kInproc;
-  std::size_t batch_bytes = 64 * 1024;  // Sender coalescing ceiling per frame (>= 1).
+  std::size_t batch_bytes = 64 * 1024;  // Sender coalescing ceiling per frame.
   std::size_t queue_cap = 128;          // Per-destination send queue (messages).
   int ack_timeout_ms = 250;             // Fabric-level shuffle ack wait.
-  int flush_us = 200;                   // Sender wait granularity when idle.
   int port = 0;                         // TCP base port; 0 = ephemeral.
   // TCP bind/connect host for cross-host operation; loopback by default.
   std::string bind_host = "127.0.0.1";
-  // Ceiling on one dial attempt: a black-holed SYN costs this much, not
-  // forever (non-blocking connect + poll; see ConnectWithTimeout).
-  int connect_timeout_ms = 1000;
 };
-
-// Reads the ITASK_NET_* knob family (strict parsing via common/env.h):
-//   ITASK_NET_TRANSPORT   inproc|tcp|uds
-//   ITASK_NET_BATCH_BYTES ITASK_NET_QUEUE_CAP ITASK_NET_ACK_TIMEOUT_MS
-//   ITASK_NET_FLUSH_US    ITASK_NET_PORT
-//   ITASK_NET_BIND_HOST   ITASK_NET_CONNECT_TIMEOUT_MS
-NetConfig NetConfigFromEnv(NetConfig base = NetConfig{});
 
 // Mechanical counters; semantic counters (dup payloads dropped, redeliveries)
 // belong to the shuffle fabric / ledger on top.

@@ -1,25 +1,21 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
+#include "common/env.h"
 #include "obs/trace_export.h"
 
 namespace itask::obs {
 
 namespace {
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  return end == raw ? fallback : static_cast<std::uint64_t>(value);
-}
+// Capture window kept before a trigger.
+constexpr std::uint64_t kWindowMs = 5000;
+// Bundles per process; later triggers are counted but dropped, so a crash
+// loop cannot fill the disk.
+constexpr std::uint64_t kMaxBundles = 4;
 
 std::string Sanitize(const std::string& raw) {
   std::string out;
@@ -40,16 +36,8 @@ FlightRecorder& FlightRecorder::Instance() {
 }
 
 FlightRecorder::FlightRecorder()
-    : armed_([] {
-        const char* raw = std::getenv("ITASK_FLIGHT_RECORDER");
-        return raw != nullptr && *raw != '\0' && *raw != '0';
-      }()),
-      dir_([] {
-        const char* raw = std::getenv("ITASK_FLIGHT_RECORDER_DIR");
-        return std::string(raw != nullptr && *raw != '\0' ? raw : "flight_recorder");
-      }()),
-      window_ms_(EnvU64("ITASK_FLIGHT_RECORDER_WINDOW_MS", 5000)),
-      max_bundles_(EnvU64("ITASK_FLIGHT_RECORDER_MAX", 4)) {}
+    : armed_(common::EnvBool("ITASK_FLIGHT_RECORDER", false)),
+      dir_(common::EnvString("ITASK_FLIGHT_RECORDER_DIR", "flight_recorder")) {}
 
 void FlightRecorder::Register(Tracer* tracer, const std::string& label) {
   if (tracer == nullptr) {
@@ -90,7 +78,7 @@ std::string FlightRecorder::Trigger(const std::string& reason) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++triggers_;
-    if (bundles_written_ >= max_bundles_) {
+    if (bundles_written_ >= kMaxBundles) {
       return "";
     }
     bundle_index = bundles_written_++;
@@ -106,9 +94,9 @@ std::string FlightRecorder::Trigger(const std::string& reason) {
 
   std::ofstream manifest(bundle_dir + "/MANIFEST.txt");
   manifest << "reason: " << reason << "\n"
-           << "window_ms: " << window_ms_ << "\n"
+           << "window_ms: " << kWindowMs << "\n"
            << "sources: " << sources.size() << "\n";
-  const std::uint64_t window_ns = window_ms_ * 1'000'000ULL;
+  const std::uint64_t window_ns = kWindowMs * 1'000'000ULL;
   std::size_t file_index = 0;
   for (const Source& source : sources) {
     const std::uint64_t now_ns = source.tracer->NowNs();

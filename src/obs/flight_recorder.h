@@ -9,15 +9,12 @@
 // "always on" adds no new steady-state work; the recorder only pays at dump
 // time.
 //
-// Knobs (all env):
+// Knobs (env, read once by the singleton; strict common/env.h parsing):
 //   ITASK_FLIGHT_RECORDER=1          arm the recorder (default: disarmed —
 //                                    Trigger() is then a cheap no-op)
 //   ITASK_FLIGHT_RECORDER_DIR=path   bundle root (default ./flight_recorder)
-//   ITASK_FLIGHT_RECORDER_WINDOW_MS  capture window before the trigger
-//                                    (default 5000)
-//   ITASK_FLIGHT_RECORDER_MAX        max bundles per process (default 4;
-//                                    later triggers are counted but dropped,
-//                                    so a crash loop cannot fill the disk)
+// A bundle keeps the last 5 s before its trigger, and a process writes at
+// most 4 bundles.
 #ifndef ITASK_OBS_FLIGHT_RECORDER_H_
 #define ITASK_OBS_FLIGHT_RECORDER_H_
 
@@ -63,8 +60,6 @@ class FlightRecorder {
 
   const bool armed_;
   const std::string dir_;
-  const std::uint64_t window_ms_;
-  const std::uint64_t max_bundles_;
 
   mutable std::mutex mu_;
   std::vector<Source> sources_;

@@ -4,10 +4,12 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 #include <typeinfo>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/backoff.h"
 #include "common/blocking_queue.h"
 #include "common/byte_buffer.h"
@@ -384,27 +386,6 @@ TEST(BackoffTest, DeadlineBudgetExpiresAndEndsTheSession) {
   EXPECT_FALSE(session.Next(&ms));
 }
 
-TEST(BackoffTest, PolicyFromEnvOverridesEachKnob) {
-  setenv("ITASK_TEST_BACKOFF_BASE_MS", "9.5", 1);
-  setenv("ITASK_TEST_BACKOFF_CAP_MS", "77", 1);
-  setenv("ITASK_TEST_BACKOFF_ATTEMPTS", "11", 1);
-  setenv("ITASK_TEST_BACKOFF_DEADLINE_MS", "1234", 1);
-  const BackoffPolicy p = BackoffPolicy::FromEnv("ITASK_TEST_BACKOFF", BackoffPolicy{});
-  EXPECT_DOUBLE_EQ(p.base_ms, 9.5);
-  EXPECT_DOUBLE_EQ(p.cap_ms, 77.0);
-  EXPECT_EQ(p.max_attempts, 11);
-  EXPECT_DOUBLE_EQ(p.deadline_ms, 1234.0);
-  unsetenv("ITASK_TEST_BACKOFF_BASE_MS");
-  unsetenv("ITASK_TEST_BACKOFF_CAP_MS");
-  unsetenv("ITASK_TEST_BACKOFF_ATTEMPTS");
-  unsetenv("ITASK_TEST_BACKOFF_DEADLINE_MS");
-  // Absent env: the base policy passes through untouched.
-  const BackoffPolicy untouched =
-      BackoffPolicy::FromEnv("ITASK_TEST_BACKOFF", BackoffPolicy{});
-  EXPECT_DOUBLE_EQ(untouched.base_ms, BackoffPolicy{}.base_ms);
-  EXPECT_EQ(untouched.max_attempts, BackoffPolicy{}.max_attempts);
-}
-
 // ---- RunMetrics: one field list, one Merge ----
 
 TEST(RunMetricsTest, MergeFoldsEveryFieldByItsRule) {
@@ -476,3 +457,64 @@ TEST(RunMetricsTest, MergeFoldsEveryFieldByItsRule) {
 
 }  // namespace
 }  // namespace itask::common
+
+// ---- The environment overlay (cluster::ApplyEnv) ----
+
+namespace itask::cluster {
+namespace {
+
+// Every field an ITASK_* knob can reach, in one comparable value.
+auto EnvFields(const ClusterConfig& c) {
+  return std::make_tuple(c.faults.Describe(), c.net.kind, c.net.port, c.net.bind_host,
+                         c.recovery.heartbeat_ms, c.recovery.suspect_timeout_ms,
+                         c.recovery.migration.min_bytes, c.recovery.migration.rtt_us);
+}
+
+TEST(EnvOverlayTest, EachKnobSetsOnlyItsFieldAndKeepsCallerValues) {
+  // Per knob: a non-default value as the environment spells it, the same
+  // value set the way a caller would, and a value the overlay must ignore.
+  struct Knob {
+    const char* name;
+    const char* value;
+    void (*set)(ClusterConfig&);
+    const char* malformed;
+  };
+  const Knob knobs[] = {
+      {"ITASK_FAULTS", "spillwrite=0.5", [](ClusterConfig& c) { c.faults.spill.write_p = 0.5; },
+       "spillwrite=2"},
+      {"ITASK_NET_TRANSPORT", "uds",
+       [](ClusterConfig& c) { c.net.kind = net::TransportKind::kUds; }, "carrier-pigeon"},
+      {"ITASK_NET_PORT", "4100", [](ClusterConfig& c) { c.net.port = 4100; }, "41OO"},
+      {"ITASK_NET_BIND_HOST", "10.0.0.7", [](ClusterConfig& c) { c.net.bind_host = "10.0.0.7"; },
+       ""},
+      {"ITASK_HEARTBEAT_MS", "7", [](ClusterConfig& c) { c.recovery.heartbeat_ms = 7.0; }, "7ms"},
+      {"ITASK_SUSPECT_TIMEOUT_MS", "40",
+       [](ClusterConfig& c) { c.recovery.suspect_timeout_ms = 40.0; }, "-40"},
+      {"ITASK_MIGRATE_MIN_BYTES", "2048",
+       [](ClusterConfig& c) { c.recovery.migration.min_bytes = 2048; }, "2KB"},
+      {"ITASK_MIGRATE_RTT_US", "15", [](ClusterConfig& c) { c.recovery.migration.rtt_us = 15.0; },
+       "0"},
+  };
+  ClusterConfig base;
+  base.num_nodes = 1;
+  base.heap.real_pauses = false;
+  for (const Knob& knob : knobs) {
+    SCOPED_TRACE(knob.name);
+    ClusterConfig expected = base;
+    knob.set(expected);
+    ASSERT_NE(EnvFields(expected), EnvFields(base));
+
+    setenv(knob.name, knob.value, 1);
+    const auto from_env = EnvFields(Cluster(base).config());
+    setenv(knob.name, knob.malformed, 1);
+    const auto from_malformed = EnvFields(Cluster(base).config());
+    unsetenv(knob.name);
+    EXPECT_EQ(from_env, EnvFields(expected));
+    EXPECT_EQ(from_malformed, EnvFields(base));
+    // Unset: the caller's own value survives.
+    EXPECT_EQ(EnvFields(Cluster(expected).config()), EnvFields(expected));
+  }
+}
+
+}  // namespace
+}  // namespace itask::cluster

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <thread>
@@ -23,13 +22,8 @@
 namespace itask::core {
 namespace {
 
-MigrationConfig TestConfig() {
-  MigrationConfig config;  // Defaults, independent of ITASK_MIGRATE_* env.
-  return config;
-}
-
 TEST(MigrationBrokerTest, UnseenAndStaleNodesHaveNoHeadroom) {
-  MigrationConfig config = TestConfig();
+  MigrationConfig config;
   config.stale_ms = 40.0;
   MigrationBroker broker(2, config);
 
@@ -52,7 +46,7 @@ TEST(MigrationBrokerTest, UnseenAndStaleNodesHaveNoHeadroom) {
 }
 
 TEST(MigrationBrokerTest, ZeroCapacityAndOverfilledNodesHaveNoHeadroom) {
-  MigrationBroker broker(2, TestConfig());
+  MigrationBroker broker(2, MigrationConfig{});
   broker.Update(0, 0, 0);  // Heap not sized yet.
   EXPECT_EQ(broker.FreeBytes(0), 0u);
   broker.Update(1, /*used=*/900 << 10, /*capacity=*/1 << 20);  // Over the line.
@@ -60,7 +54,7 @@ TEST(MigrationBrokerTest, ZeroCapacityAndOverfilledNodesHaveNoHeadroom) {
 }
 
 TEST(MigrationBrokerTest, PickDestinationRanksBySlackAndFiltersPeers) {
-  MigrationBroker broker(4, TestConfig());
+  MigrationBroker broker(4, MigrationConfig{});
   auto all_serving = [](int) { return true; };
 
   // Nobody heard from yet: no destination.
@@ -83,11 +77,11 @@ TEST(MigrationBrokerTest, PickDestinationRanksBySlackAndFiltersPeers) {
 TEST(MigrationBrokerTest, CostModelSpillsSmallAndMigratesLarge) {
   // Defaults: wire = mb/1000 * 1e6 + 200 us; spill = 2 * mb/400 * 1e6 us.
   // Break-even near 50 KB — the RTT dominates small payloads.
-  MigrationBroker broker(2, TestConfig());
+  MigrationBroker broker(2, MigrationConfig{});
   EXPECT_FALSE(broker.MigrationCheaper(16 << 10));
   EXPECT_TRUE(broker.MigrationCheaper(1 << 20));
 
-  MigrationConfig fast_wire = TestConfig();
+  MigrationConfig fast_wire;
   fast_wire.rtt_us = 0.0;
   MigrationBroker broker2(2, fast_wire);
   EXPECT_TRUE(broker2.MigrationCheaper(16 << 10));  // No fixed cost: wire wins.
@@ -386,6 +380,9 @@ TEST_F(SpillStepMigrateTest, RecentlyLoadedVictimsStillMigrate) {
 namespace itask::apps {
 namespace {
 
+// Fast failure detection plus migration settings that favor the wire (the
+// modeled spill device is slow and the RTT small, so any eligible pressured
+// partition prefers a peer with headroom over the local disk).
 cluster::Cluster MakeSkewedCluster(std::uint64_t node0_heap, std::uint64_t peer_heap,
                                    int nodes = 2, std::vector<chaos::NodeFault> faults = {}) {
   cluster::ClusterConfig cc;
@@ -395,6 +392,11 @@ cluster::Cluster MakeSkewedCluster(std::uint64_t node0_heap, std::uint64_t peer_
   cc.per_node_heap_bytes.assign(static_cast<std::size_t>(nodes), peer_heap);
   cc.per_node_heap_bytes[0] = node0_heap;
   cc.faults.node = std::move(faults);
+  cc.recovery.heartbeat_ms = 1.0;
+  cc.recovery.suspect_timeout_ms = 25.0;
+  cc.recovery.migration.min_bytes = 1024;
+  cc.recovery.migration.rtt_us = 10.0;
+  cc.recovery.migration.disk_mbps = 50.0;
   return cluster::Cluster(cc);
 }
 
@@ -409,26 +411,7 @@ AppConfig SkewConfig() {
   return config;
 }
 
-// Fast failure detection plus migration knobs that favor the wire (the
-// modeled spill device is slow and the RTT small, so any eligible pressured
-// partition prefers a peer with headroom over the local disk).
-class MigrationE2eTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    setenv("ITASK_HEARTBEAT_MS", "1", 1);
-    setenv("ITASK_SUSPECT_TIMEOUT_MS", "25", 1);
-    setenv("ITASK_MIGRATE_MIN_BYTES", "1024", 1);
-    setenv("ITASK_MIGRATE_RTT_US", "10", 1);
-    setenv("ITASK_MIGRATE_DISK_MBPS", "50", 1);
-  }
-  void TearDown() override {
-    unsetenv("ITASK_HEARTBEAT_MS");
-    unsetenv("ITASK_SUSPECT_TIMEOUT_MS");
-    unsetenv("ITASK_MIGRATE_MIN_BYTES");
-    unsetenv("ITASK_MIGRATE_RTT_US");
-    unsetenv("ITASK_MIGRATE_DISK_MBPS");
-  }
-};
+class MigrationE2eTest : public ::testing::Test {};
 
 AppResult RunReference(const char* app, int nodes = 2) {
   // Same topology, no skew, no faults.

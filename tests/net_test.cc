@@ -413,9 +413,9 @@ TEST_P(SocketTransportTest, ClosedEndpointReportsPeerGone) {
 TEST_P(SocketTransportTest, ZeroBatchBytesStillDrains) {
   NetConfig config;
   config.kind = GetParam();
-  // Pathological ceiling constructed directly (the env path clamps to >= 1):
-  // every batch must still admit at least one message or the sender spins on
-  // empty frames while producers block on the full queue forever.
+  // Pathological ceiling: every batch must still admit at least one message
+  // or the sender spins on empty frames while producers block on the full
+  // queue forever.
   config.batch_bytes = 0;
   config.queue_cap = 4;
   auto transport = MakeTransport(config);
@@ -436,13 +436,6 @@ TEST_P(SocketTransportTest, ZeroBatchBytesStillDrains) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(received.load(), kMsgs);
-}
-
-TEST(Transport, EnvClampsBatchBytesToAtLeastOne) {
-  setenv("ITASK_NET_BATCH_BYTES", "0", 1);
-  const NetConfig config = NetConfigFromEnv();
-  unsetenv("ITASK_NET_BATCH_BYTES");
-  EXPECT_GE(config.batch_bytes, 1u);
 }
 
 TEST_P(SocketTransportTest, ReconnectsAfterReceiverShedsConnection) {
@@ -847,21 +840,22 @@ chaos::FaultPlan Spec(const std::string& spec) {
   return plan;
 }
 
+// Failure-detector settings; the defaults declare a killed node dead in tens
+// of milliseconds.
+core::RecoveryConfig Detection(double heartbeat_ms = 1.0, double suspect_timeout_ms = 25.0) {
+  core::RecoveryConfig recovery;
+  recovery.heartbeat_ms = heartbeat_ms;
+  recovery.suspect_timeout_ms = suspect_timeout_ms;
+  return recovery;
+}
+
 class TransportParityTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    setenv("ITASK_HEARTBEAT_MS", "1", 1);
-    setenv("ITASK_SUSPECT_TIMEOUT_MS", "25", 1);
-  }
-  void TearDown() override {
-    unsetenv("ITASK_HEARTBEAT_MS");
-    unsetenv("ITASK_SUSPECT_TIMEOUT_MS");
-  }
-
   // Runs |app| on a 4-node cluster over |kind| under the fault spec |faults|.
   static apps::AppResult RunOver(const char* app, TransportKind kind,
                                  const chaos::FaultPlan& faults = {}, int ack_timeout_ms = 0,
-                                 std::size_t dataset_bytes = 512 << 10) {
+                                 std::size_t dataset_bytes = 512 << 10,
+                                 const core::RecoveryConfig& recovery = Detection()) {
     cluster::ClusterConfig cc;
     cc.num_nodes = 4;
     cc.heap.capacity_bytes = 48 << 20;
@@ -871,6 +865,7 @@ class TransportParityTest : public ::testing::Test {
       cc.net.ack_timeout_ms = ack_timeout_ms;
     }
     cc.faults = faults;
+    cc.recovery = recovery;
     cluster::Cluster cluster(cc);
     apps::AppConfig config;
     config.dataset_bytes = dataset_bytes;
@@ -908,16 +903,16 @@ TEST_F(TransportParityTest, LossyTcpKeepsFingerprint) {
   // recover every lost payload bit-for-bit. Widen the suspect window and
   // slow heartbeats so the injected loss exercises the ledger, not the
   // failure detector.
-  setenv("ITASK_SUSPECT_TIMEOUT_MS", "10000", 1);
-  setenv("ITASK_HEARTBEAT_MS", "50", 1);
   constexpr std::size_t kDataset = 128 << 10;
+  const core::RecoveryConfig patient =
+      Detection(/*heartbeat_ms=*/50, /*suspect_timeout_ms=*/10000);
   const apps::AppResult reference =
-      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, kDataset);
+      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, kDataset, patient);
   ASSERT_TRUE(reference.metrics.succeeded);
 
   const apps::AppResult lossy = RunOver("WC", TransportKind::kTcp,
                                         Spec("seed=10,drop=0.1,reset=0.05"),
-                                        /*ack_timeout_ms=*/100, kDataset);
+                                        /*ack_timeout_ms=*/100, kDataset, patient);
   ASSERT_TRUE(lossy.metrics.succeeded) << lossy.metrics.Summary();
   EXPECT_EQ(lossy.checksum, reference.checksum);
   EXPECT_EQ(lossy.records, reference.records);
@@ -934,17 +929,17 @@ TEST_F(TransportParityTest, SeededChaosPlanTcpKeepsFingerprint) {
   // the ledger's (node,split,epoch,seq) dedup and ack-timeout redelivery must
   // absorb every one of them without perturbing the fingerprint. Widen the
   // suspect window so injected loss exercises the ledger, not the detector.
-  setenv("ITASK_SUSPECT_TIMEOUT_MS", "10000", 1);
-  setenv("ITASK_HEARTBEAT_MS", "50", 1);
   constexpr std::size_t kDataset = 128 << 10;
+  const core::RecoveryConfig patient =
+      Detection(/*heartbeat_ms=*/50, /*suspect_timeout_ms=*/10000);
   const apps::AppResult reference =
-      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, kDataset);
+      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, kDataset, patient);
   ASSERT_TRUE(reference.metrics.succeeded);
 
   const apps::AppResult chaotic = RunOver(
       "WC", TransportKind::kTcp,
       Spec("seed=7,drop=0.02,reorder=0.05,dup=0.03,reset=0.005,delay=0.1:1:0.5"),
-      /*ack_timeout_ms=*/100, kDataset);
+      /*ack_timeout_ms=*/100, kDataset, patient);
   ASSERT_TRUE(chaotic.metrics.succeeded) << chaotic.metrics.Summary();
   EXPECT_EQ(chaotic.checksum, reference.checksum);
   EXPECT_EQ(chaotic.records, reference.records);
@@ -960,15 +955,14 @@ TEST_F(TransportParityTest, TimedPartitionHealsWithoutReexecution) {
   // slow (sanitized) run. The link observer parks the node in kDisconnected,
   // the grace window outlasts the cut, and after the heal the job finishes
   // with zero lineage re-execution and nobody declared dead.
-  setenv("ITASK_HEARTBEAT_MS", "5", 1);
-  setenv("ITASK_SUSPECT_TIMEOUT_MS", "200", 1);
-  setenv("ITASK_DISCONNECT_GRACE_MS", "60000", 1);
-  const apps::AppResult reference = RunOver("WC", TransportKind::kInproc);
+  core::RecoveryConfig recovery = Detection(/*heartbeat_ms=*/5, /*suspect_timeout_ms=*/200);
+  recovery.disconnect_grace_ms = 60000;
+  const apps::AppResult reference =
+      RunOver("WC", TransportKind::kInproc, {}, /*ack_timeout_ms=*/0, 512 << 10, recovery);
   ASSERT_TRUE(reference.metrics.succeeded);
 
-  const apps::AppResult cut =
-      RunOver("WC", TransportKind::kTcp, Spec("part=1>*@5+800"), /*ack_timeout_ms=*/100);
-  unsetenv("ITASK_DISCONNECT_GRACE_MS");
+  const apps::AppResult cut = RunOver("WC", TransportKind::kTcp, Spec("part=1>*@5+800"),
+                                      /*ack_timeout_ms=*/100, 512 << 10, recovery);
   ASSERT_TRUE(cut.metrics.succeeded) << cut.metrics.Summary();
   EXPECT_EQ(cut.checksum, reference.checksum);
   EXPECT_EQ(cut.records, reference.records);
@@ -1057,13 +1051,13 @@ TEST_F(TransportParityTest, SpanIdsStableAcrossSeededReruns) {
   // reuse the original delivery's span, so retries don't perturb the set.
   // A node spuriously declared dead on a slow machine would re-route data to
   // new destinations (new spans), so the detector is kept out of the way.
-  setenv("ITASK_SUSPECT_TIMEOUT_MS", "10000", 1);
   const auto run = [] {
     cluster::ClusterConfig cc;
     cc.num_nodes = 4;
     cc.heap.capacity_bytes = 48 << 20;
     cc.heap.real_pauses = false;
     cc.net.kind = TransportKind::kTcp;
+    cc.recovery = Detection(/*heartbeat_ms=*/1, /*suspect_timeout_ms=*/10000);
     cluster::Cluster cluster(cc);
     apps::AppConfig config;
     config.dataset_bytes = 256 << 10;

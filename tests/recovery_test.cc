@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 
@@ -23,16 +22,6 @@ namespace {
 using chaos::NodeFault;
 using chaos::NodeFaultKind;
 
-cluster::Cluster MakeCluster(std::uint64_t heap_bytes, int nodes = 4,
-                             std::vector<NodeFault> faults = {}) {
-  cluster::ClusterConfig cc;
-  cc.num_nodes = nodes;
-  cc.heap.capacity_bytes = heap_bytes;
-  cc.heap.real_pauses = false;
-  cc.faults.node = std::move(faults);
-  return cluster::Cluster(cc);
-}
-
 AppConfig FtConfig() {
   AppConfig config;
   config.dataset_bytes = 512 << 10;
@@ -46,20 +35,24 @@ AppConfig FtConfig() {
 
 // Shrinks the failure-detector timeouts so a kill is declared dead in tens of
 // milliseconds instead of the production default.
-class RecoveryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    setenv("ITASK_HEARTBEAT_MS", "1", 1);
-    setenv("ITASK_SUSPECT_TIMEOUT_MS", "25", 1);
-  }
-  void TearDown() override {
-    unsetenv("ITASK_HEARTBEAT_MS");
-    unsetenv("ITASK_SUSPECT_TIMEOUT_MS");
-  }
-};
+core::RecoveryConfig FastDetection() {
+  core::RecoveryConfig recovery;
+  recovery.heartbeat_ms = 1.0;
+  recovery.suspect_timeout_ms = 25.0;
+  return recovery;
+}
 
-AppResult RunFt(const char* app, const AppConfig& config, std::vector<NodeFault> faults = {}) {
-  auto cluster = MakeCluster(48 << 20, 4, std::move(faults));
+class RecoveryTest : public ::testing::Test {};
+
+AppResult RunFt(const char* app, const AppConfig& config, std::vector<NodeFault> faults = {},
+                const core::RecoveryConfig& recovery = FastDetection()) {
+  cluster::ClusterConfig cc;
+  cc.num_nodes = 4;
+  cc.heap.capacity_bytes = 48 << 20;
+  cc.heap.real_pauses = false;
+  cc.faults.node = std::move(faults);
+  cc.recovery = recovery;
+  cluster::Cluster cluster(cc);
   return RunHyracksApp(app, cluster, config, Mode::kITask);
 }
 
@@ -150,15 +143,15 @@ TEST_F(RecoveryTest, HangedNodeIsDetectedAndFenced) {
 // ---- Disconnects: transient cuts must not be conflated with death ----
 
 TEST_F(RecoveryTest, HealedDisconnectCausesNoReexecution) {
-  // Grace far past this fixture's dead timeout: only an unhealed cut dies.
-  setenv("ITASK_DISCONNECT_GRACE_MS", "60000", 1);
+  // Grace far past the dead timeout: only an unhealed cut dies.
+  core::RecoveryConfig recovery = FastDetection();
+  recovery.disconnect_grace_ms = 60000.0;
   const AppResult reference = RunFt("WC", FtConfig());
   ASSERT_TRUE(reference.metrics.succeeded);
 
   const AppResult faulted = RunFt(
       "WC", FtConfig(),
-      {{1, 2.0, NodeFaultKind::kDisconnect}, {1, 12.0, NodeFaultKind::kHeal}});
-  unsetenv("ITASK_DISCONNECT_GRACE_MS");
+      {{1, 2.0, NodeFaultKind::kDisconnect}, {1, 12.0, NodeFaultKind::kHeal}}, recovery);
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);
@@ -172,15 +165,16 @@ TEST_F(RecoveryTest, HealedDisconnectCausesNoReexecution) {
 
 TEST_F(RecoveryTest, UnhealedDisconnectExpiresGraceAndPromotesToDead) {
   // Tight grace so the expiry fires well inside the job.
-  setenv("ITASK_DISCONNECT_GRACE_MS", "40", 1);
+  core::RecoveryConfig recovery = FastDetection();
+  recovery.disconnect_grace_ms = 40.0;
   const AppResult reference = RunFt("WC", FtConfig());
   ASSERT_TRUE(reference.metrics.succeeded);
 
   // Never heals; age the beat past the grace so expiry doesn't race a fast
   // job (same determinism trick as HangedNodeIsDetectedAndFenced).
   const AppResult faulted = RunFt(
-      "WC", FtConfig(), {{2, 2.0, NodeFaultKind::kDisconnect, /*silence_age_ms=*/10000.0}});
-  unsetenv("ITASK_DISCONNECT_GRACE_MS");
+      "WC", FtConfig(), {{2, 2.0, NodeFaultKind::kDisconnect, /*silence_age_ms=*/10000.0}},
+      recovery);
   ASSERT_TRUE(faulted.metrics.succeeded) << faulted.metrics.Summary();
   EXPECT_EQ(faulted.checksum, reference.checksum);
   EXPECT_EQ(faulted.records, reference.records);
@@ -622,12 +616,11 @@ TEST_F(PipelinedLedgerTest, ReexecutionUnderPressureRetriesOnLaterTicks) {
   heap1_.Poison();
   rec_.membership().SetState(0, NodeLiveness::kDead);
   rec_.OnNodeLost(0);  // First attempt, inside OnNodeLost's Sweep.
-  const int retries = RecoveryConfig{}.shuffle_retries;
-  for (int tick = 0; tick <= retries; ++tick) {
+  for (int tick = 0; tick <= kShuffleRetries; ++tick) {
     rec_.Sweep();
   }
   EXPECT_TRUE(pushed_[1].empty());
-  EXPECT_EQ(rec_.stats().shuffle_retries, static_cast<std::uint64_t>(retries));
+  EXPECT_EQ(rec_.stats().shuffle_retries, static_cast<std::uint64_t>(kShuffleRetries));
   EXPECT_EQ(rec_.stats().splits_reexecuted, 0u);
   EXPECT_FALSE(rec_.MergeSafe());
 }
@@ -640,7 +633,7 @@ TEST_F(PipelinedLedgerTest, IdleTargetRefusingAFullRoundIsDrained) {
   heap1_.Poison();
   const std::int64_t a = StageSplit(0, {1});
   rec_.CommitEpoch(0, a, 0);  // The first attempt OMEs inside the commit.
-  const int round = InstantRetryConfig().shuffle_retries + 1;
+  const int round = kShuffleRetries + 1;
   for (int tick = 1; tick < 2 * round && rec_.membership().Serving(1); ++tick) {
     rec_.Sweep();
   }
@@ -660,7 +653,7 @@ TEST_F(PipelinedLedgerTest, IdleTargetRefusingAFullRoundIsDrained) {
 // and so is one on which a delivery landed during the round.
 TEST_F(PipelinedLedgerTest, RefusingTargetIsDrainedOnlyWhenIdleAndNothingLands) {
   Attach(/*ack_timeout_ms=*/60000);
-  const int round = InstantRetryConfig().shuffle_retries + 1;
+  const int round = kShuffleRetries + 1;
   const std::int64_t a = StageSplit(0, {1, 1});
   rec_.CommitEpoch(0, a, 0);
   ASSERT_EQ(sent_.size(), 2u);
@@ -702,28 +695,24 @@ TEST_F(PipelinedLedgerTest, RefusingTargetIsDrainedOnlyWhenIdleAndNothingLands) 
 }  // namespace
 }  // namespace itask::core
 
-// ---- Satellite: ITASK_FAULTS' spill read faults reach the spill Load path ----
+// ---- The cluster's spill read faults reach the spill Load path ----
 
 namespace itask::cluster {
 namespace {
 
 TEST(IoFailEnvTest, ReadFailureEnvInjectsOnLoadPath) {
-  setenv("ITASK_FAULTS", "spillread=1", 1);
-  setenv("ITASK_IO_POOL", "0", 1);  // Synchronous I/O: failure surfaces inline.
-  {
-    ClusterConfig cc;
-    cc.num_nodes = 1;
-    cc.heap.real_pauses = false;
-    Cluster cluster(cc);
-    auto& spill = cluster.node(0).spill();
-    common::ByteBuffer payload(std::vector<std::uint8_t>(1024, 0xab));
-    const auto id = spill.Spill(payload);
-    spill.Drain();
-    EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error);
-    EXPECT_GE(spill.Stats().injected_failures, 1u);
-  }
-  unsetenv("ITASK_FAULTS");
-  unsetenv("ITASK_IO_POOL");
+  ClusterConfig cc;
+  cc.num_nodes = 1;
+  cc.heap.real_pauses = false;
+  cc.io_pool_size = 0;  // Synchronous I/O: failure surfaces inline.
+  cc.faults.spill.read_p = 1.0;  // The plan ITASK_FAULTS=spillread=1 yields.
+  Cluster cluster(cc);
+  auto& spill = cluster.node(0).spill();
+  common::ByteBuffer payload(std::vector<std::uint8_t>(1024, 0xab));
+  const auto id = spill.Spill(payload);
+  spill.Drain();
+  EXPECT_THROW(spill.LoadAndRemove(id), std::runtime_error);
+  EXPECT_GE(spill.Stats().injected_failures, 1u);
 }
 
 }  // namespace

@@ -178,9 +178,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  itask::net::CtrlServer server(opt.port);
-  std::printf("net_driver: control plane on 127.0.0.1:%d, waiting for %d daemon(s)\n",
-              server.port(), opt.daemons);
+  // The control plane listens where the deployment's ITASK_NET_BIND_HOST
+  // says, like every shuffle fabric of the local reference runs.
+  const std::string bind_host = itask::cluster::ApplyEnv({}).net.bind_host;
+  itask::net::CtrlServer server(opt.port, bind_host);
+  std::printf("net_driver: control plane on %s:%d, waiting for %d daemon(s)\n",
+              bind_host.c_str(), server.port(), opt.daemons);
   std::fflush(stdout);
 
   // Ctrl-plane causal tracing: dispatch/result hops on the driver side land

@@ -9,7 +9,8 @@
 //
 // A lost ctrl socket is not a death sentence: CtrlClient resumes the session
 // under the original node id with capped jittered backoff
-// (ITASK_CTRL_RECONNECT_* knobs), re-shipping pending results, a heartbeat
+// (25 ms doubling to 1 s, 20 attempts within 15 s), re-shipping pending
+// results, a heartbeat
 // and a metrics snapshot. The daemon only exits on the driver's kBye or when
 // the reconnect policy is exhausted.
 //
