@@ -80,7 +80,6 @@ int main() {
 
   itask::jobsvc::JobServiceConfig svc_config;
   svc_config.max_concurrent = 2;   // The two tenants genuinely overlap.
-  svc_config.overcommit = 1.0;
   svc_config.worker_slots = 8;
   itask::jobsvc::JobService service(cluster, svc_config);
 

@@ -10,23 +10,16 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "apps/common.h"
 #include "cluster/cluster.h"
+#include "common/env.h"
 
 namespace itask::bench {
 
-inline double BenchScale() {
-  const char* env = std::getenv("ITASK_BENCH_SCALE");
-  if (env == nullptr) {
-    return 1.0;
-  }
-  const double scale = std::atof(env);
-  return scale > 0.0 ? scale : 1.0;
-}
+inline double BenchScale() { return common::EnvPositiveDouble("ITASK_BENCH_SCALE", 1.0); }
 
 // Paper-equivalent cluster: the 11-node EC2 cluster, scaled down. Heaps use
 // real (spun) GC pauses so GC cost appears in wall time.

@@ -9,8 +9,8 @@
 # cross-process trace must pair ctrl/shuffle/migration flows), a
 # multi-tenant job-service smoke under TSan, release-mode bench
 # smoke runs at a tiny scale (the jobsvc, net and migration benches are each
-# gated on their JSON artifacts), the overall perf gate diffing
-# BENCH_overall.json against the committed baseline, and the perfbench smoke
+# gated on their JSON artifacts), a perf A/B of perfbench on the change
+# against its base revision (tools/perf_ab.py), and the perfbench smoke
 # (every BENCHMARK.json workload at 1/4 size, metric names and units checked).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -288,36 +288,14 @@ print("migration bench gate ok: %d migrations across %d rows" % (
     doc["total_migrated"], len(doc["rows"])))
 EOF
 
-echo "=== tier 5e: overall perf gate (BENCH_overall.json vs committed baseline) ==="
-# The unified per-PR perf artifact (DESIGN.md §15.4): one bench run covering
-# wall time, interrupt p99, spill volume and GC share across WC/HS inproc and
-# WC/tcp+ft, diffed row-by-row against the baseline committed at the repo
-# root. The gate's tolerances absorb machine noise (2.5x wall, 4x interrupt
-# p99, 3x spill, +0.25 gc share) but catch order-of-magnitude regressions —
-# proven below by seeding one and requiring the gate to fail.
-cmake --build build-rel -j --target bench_overall
-cmake --build build -j --target perf_gate
-(cd build-rel/bench && ./bench_overall)
-./build/tools/perf_gate BENCH_overall.json build-rel/bench/BENCH_overall.json
-python3 - build-rel/bench/BENCH_overall.json /tmp/itask_overall_regressed.json <<'EOF'
-import json, sys
-lines = open(sys.argv[1]).read().splitlines()
-out, seeded = [], False
-for ln in lines:
-    if not seeded and '"app":' in ln:
-        row = json.loads(ln.rstrip(","))
-        row["wall_ms"] *= 10  # Seed an order-of-magnitude wall regression.
-        ln = json.dumps(row, separators=(",", ":")) + ("," if ln.rstrip().endswith(",") else "")
-        seeded = True
-    out.append(ln)
-assert seeded, "no bench row found to regress"
-open(sys.argv[2], "w").write("\n".join(out) + "\n")
-EOF
-if ./build/tools/perf_gate BENCH_overall.json /tmp/itask_overall_regressed.json; then
-  echo "perf gate FAILED to catch a seeded 10x wall regression" >&2
-  exit 1
-fi
-echo "overall perf gate ok (and the seeded regression was caught)"
+echo "=== tier 5e: perf A/B (perfbench on the change and on its base, alternating) ==="
+# The change under test against the commit before it, in one session: 3
+# alternating pairs of 10 s perfbench runs per workload at seed 42. Fails
+# when a run fails or a change median is worse than its BENCHMARK.json
+# bound. With uncommitted changes the base is HEAD, on a clean tree HEAD~1.
+# The full protocol an optimization cites is tools/perf_ab.py's defaults.
+if [ -n "$(git status --porcelain)" ]; then base=HEAD; else base=HEAD~1; fi
+python3 tools/perf_ab.py --base "$base" --pairs 3 --seconds 10 --seeds 42
 
 echo "=== tier 5f: perfbench smoke (every BENCHMARK.json workload, 1/4 size) ==="
 # Builds perfbench from this checkout and runs each workload once traced and

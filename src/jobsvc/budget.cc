@@ -6,9 +6,8 @@ namespace itask::jobsvc {
 
 BudgetLedger::BudgetLedger(const BudgetConfig& config) {
   const double headroom = std::clamp(config.headroom_fraction, 0.0, 0.9);
-  const double overcommit = std::max(config.overcommit, 0.1);
   admissible_ = static_cast<std::uint64_t>(
-      static_cast<double>(config.node_capacity_bytes) * (1.0 - headroom) * overcommit);
+      static_cast<double>(config.node_capacity_bytes) * (1.0 - headroom));
 }
 
 bool BudgetLedger::TryReserve(std::uint64_t bytes) {

@@ -22,20 +22,15 @@ struct BudgetConfig {
   std::uint64_t node_capacity_bytes = 0;
   // Fraction of capacity reserved for unattributed bytes: shuffle buffers in
   // flight, driver-side feeding, garbage awaiting collection. Budgets are
-  // admitted against capacity * (1 - headroom) * overcommit.
+  // admitted against capacity * (1 - headroom).
   double headroom_fraction = 0.15;
-  // > 1.0 admits more budget than physically fits — sound for elastic jobs
-  // whose peaks do not overlap, and exactly the case where cross-tenant
-  // arbitration earns its keep. 1.0 = no overcommit.
-  double overcommit = 1.0;
 };
 
 class BudgetLedger {
  public:
   explicit BudgetLedger(const BudgetConfig& config);
 
-  // Bytes admissible per node in total (capacity net of headroom, scaled by
-  // the overcommit factor).
+  // Bytes admissible per node in total (capacity net of headroom).
   std::uint64_t admissible_bytes() const { return admissible_; }
   std::uint64_t committed_bytes() const { return committed_; }
   std::uint64_t available_bytes() const {

@@ -21,8 +21,7 @@ JobService::JobService(cluster::Cluster& cluster, JobServiceConfig config)
     : cluster_(cluster),
       config_(config),
       admission_(
-          BudgetConfig{cluster.config().heap.capacity_bytes, config.headroom_fraction,
-                       config.overcommit},
+          BudgetConfig{cluster.config().heap.capacity_bytes, config.headroom_fraction},
           // One heap account per concurrent job, and account 0 is reserved
           // for unattributed bytes — cap concurrency at the account space.
           std::min(config.max_concurrent, static_cast<int>(memsim::kMaxJobAccounts) - 1)) {

@@ -75,7 +75,6 @@ struct JobRecord {
 
 struct JobServiceConfig {
   int max_concurrent = 4;  // Concurrency slots (capped at the account space).
-  double overcommit = 1.0;
   double headroom_fraction = 0.15;
   int worker_slots = 8;  // Per-node worker slots split across running jobs.
 };

@@ -24,19 +24,14 @@ namespace {
 // ---------------------------------------------------------------- BudgetLedger
 
 TEST(BudgetLedgerTest, AdmissibleWindowNetsOutHeadroom) {
-  BudgetLedger ledger(BudgetConfig{/*capacity=*/1000, /*headroom=*/0.2, /*overcommit=*/1.0});
+  BudgetLedger ledger(BudgetConfig{/*capacity=*/1000, /*headroom=*/0.2});
   EXPECT_EQ(ledger.admissible_bytes(), 800u);
   EXPECT_EQ(ledger.available_bytes(), 800u);
   EXPECT_EQ(ledger.committed_bytes(), 0u);
 }
 
-TEST(BudgetLedgerTest, OvercommitScalesTheWindow) {
-  BudgetLedger ledger(BudgetConfig{1000, 0.0, 1.5});
-  EXPECT_EQ(ledger.admissible_bytes(), 1500u);
-}
-
 TEST(BudgetLedgerTest, ReserveAndReleaseRoundTrip) {
-  BudgetLedger ledger(BudgetConfig{1000, 0.0, 1.0});
+  BudgetLedger ledger(BudgetConfig{1000, 0.0});
   EXPECT_TRUE(ledger.TryReserve(600));
   EXPECT_EQ(ledger.available_bytes(), 400u);
   EXPECT_FALSE(ledger.TryReserve(500));  // Does not fit; no change.
@@ -51,7 +46,7 @@ TEST(BudgetLedgerTest, ReserveAndReleaseRoundTrip) {
 }
 
 TEST(BudgetLedgerTest, ZeroReservationIsRejected) {
-  BudgetLedger ledger(BudgetConfig{1000, 0.0, 1.0});
+  BudgetLedger ledger(BudgetConfig{1000, 0.0});
   EXPECT_FALSE(ledger.TryReserve(0));
 }
 
@@ -62,7 +57,7 @@ JobRequest Req(std::uint64_t ticket, int priority, std::uint64_t budget) {
 }
 
 TEST(AdmissionTest, PriorityOrderFifoWithinPriority) {
-  AdmissionController adm(BudgetConfig{1000, 0.0, 1.0}, /*max_concurrent=*/4);
+  AdmissionController adm(BudgetConfig{1000, 0.0}, /*max_concurrent=*/4);
   adm.Enqueue(Req(1, 0, 100));
   adm.Enqueue(Req(2, 5, 100));
   adm.Enqueue(Req(3, 5, 100));
@@ -76,7 +71,7 @@ TEST(AdmissionTest, PriorityOrderFifoWithinPriority) {
 }
 
 TEST(AdmissionTest, ConcurrencySlotsCapAdmission) {
-  AdmissionController adm(BudgetConfig{1000, 0.0, 1.0}, /*max_concurrent=*/2);
+  AdmissionController adm(BudgetConfig{1000, 0.0}, /*max_concurrent=*/2);
   adm.Enqueue(Req(1, 0, 100));
   adm.Enqueue(Req(2, 0, 100));
   adm.Enqueue(Req(3, 0, 100));
@@ -88,7 +83,7 @@ TEST(AdmissionTest, ConcurrencySlotsCapAdmission) {
 }
 
 TEST(AdmissionTest, HeadOfLineBypassWithDeferralReport) {
-  AdmissionController adm(BudgetConfig{1000, 0.0, 1.0}, /*max_concurrent=*/4);
+  AdmissionController adm(BudgetConfig{1000, 0.0}, /*max_concurrent=*/4);
   adm.Enqueue(Req(1, 9, 800));  // Admitted, takes most of the window.
   adm.Enqueue(Req(2, 9, 800));  // Deferred: only 200 left.
   adm.Enqueue(Req(3, 0, 150));  // Bypasses: fits the remainder.
